@@ -415,6 +415,7 @@ impl Runner {
         let effective_reorder = plan.reorder && prepared.reordered().is_some();
         if effective_reorder {
             if let WorkloadOutput::EdgeCounts(counts) = &mut exec.output {
+                let _s = obs.as_ref().map(|ctx| ctx.span("remap"));
                 let r = prepared.reordered().expect("checked above");
                 *counts = counts_to_original(prepared.graph(), r, counts);
             }
@@ -775,6 +776,33 @@ mod tests {
         assert_eq!(plain.report.counter(C::KernelScalarOps), 0);
         assert!(plain.report.spans.is_empty());
         assert_eq!(plain.counts(), want_counts);
+    }
+
+    #[test]
+    fn reordered_run_attributes_the_remap_to_its_own_span() {
+        let g = CsrGraph::from_edge_list(&generators::hub_web(300, 6.0, 2, 0.4, 3));
+        let ctx = std::sync::Arc::new(ObsContext::new());
+        let _g = ctx.install();
+        for reorder in [false, true] {
+            let r = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf())
+                .reorder(reorder)
+                .run(&g);
+            assert_eq!(r.stats.reordered, reorder);
+            assert_eq!(r.counts(), reference_counts(&g), "reorder={reorder}");
+        }
+        // The context records both runs: only the reordered one remaps.
+        let report = cnc_obs::RunReport::from_context(&ctx);
+        let roots: Vec<_> = report.spans.iter().map(|s| s.name).collect();
+        assert_eq!(
+            roots.iter().filter(|&&n| n == "execute").count(),
+            2,
+            "roots: {roots:?}"
+        );
+        assert_eq!(
+            roots.iter().filter(|&&n| n == "remap").count(),
+            1,
+            "roots: {roots:?}"
+        );
     }
 
     #[test]

@@ -1,22 +1,19 @@
 //! Independent verification of count arrays.
 
+use crate::remap::fill_by_source;
 use cnc_graph::CsrGraph;
-use rayon::prelude::*;
 
 /// Reference counts via an independent two-pointer implementation
 /// (`cnc_intersect::reference_count`), computed for every directed edge slot
 /// directly — no symmetric assignment, no skew handling, no index.
 pub fn reference_counts(g: &CsrGraph) -> Vec<u32> {
     let dst = g.dst();
-    (0..g.num_directed_edges())
-        .into_par_iter()
-        .map(|eid| {
-            let mut hint = 0u32;
-            let u = g.find_src(eid, &mut hint);
-            let v = dst[eid];
-            cnc_intersect::reference_count(g.neighbors(u), g.neighbors(v))
-        })
-        .collect()
+    fill_by_source(g, |u, edges, out| {
+        let nu = g.neighbors(u);
+        for (slot, &v) in out.iter_mut().zip(&dst[edges]) {
+            *slot = cnc_intersect::reference_count(nu, g.neighbors(v));
+        }
+    })
 }
 
 /// A verification failure: the first mismatching edge.

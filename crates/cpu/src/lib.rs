@@ -2,10 +2,10 @@
 //!
 //! This crate ports the paper's OpenMP skeleton (Algorithm 3) to rayon:
 //! the edge-offset range `[0, |E|)` is decomposed into tasks by a
-//! [`SchedulePolicy`] — fixed `|T|`-sized chunks (work stealing plays the
-//! role of `schedule(dynamic, |T|)`) or cost-balanced source-aligned cuts —
-//! and each task amortizes two pieces of state exactly like the paper's
-//! thread-locals:
+//! [`SchedulePolicy`] — fixed `|T|`-sized chunks or cost-balanced
+//! source-aligned cuts — and idle workers claim the next tasks from a
+//! shared cursor, as in `schedule(dynamic, |T|)`. Each task amortizes two
+//! pieces of state exactly like the paper's thread-locals:
 //!
 //! * the previously found source vertex (`FindSrc` stash), and
 //! * for BMP, the bitmap index of the current source's neighbor list,

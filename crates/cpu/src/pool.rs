@@ -1,11 +1,11 @@
 //! A shared pool of reusable bitmaps.
 //!
 //! BMP's per-task bitmap has `|V|` bits: allocating one per task would
-//! dominate runtime, and one per OS thread is awkward to express safely with
-//! rayon's work stealing. A small lock-protected pool (mirroring the GPU
-//! kernel's `B_A`/`BS_A` bitmap pool, Algorithm 6) hands clean bitmaps to
-//! tasks and takes them back cleared; at steady state it holds one bitmap
-//! per worker thread.
+//! dominate runtime, and one per OS thread is awkward to express safely when
+//! rayon workers claim tasks dynamically. A small lock-protected pool
+//! (mirroring the GPU kernel's `B_A`/`BS_A` bitmap pool, Algorithm 6) hands
+//! clean bitmaps to tasks and takes them back cleared; at steady state it
+//! holds one bitmap per worker thread.
 
 use std::sync::Mutex;
 

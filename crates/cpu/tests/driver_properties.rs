@@ -111,3 +111,42 @@ proptest! {
         }
     }
 }
+
+/// Parallel outputs must not depend on how many workers claim tasks or in
+/// which order they finish. A degree-descending hub graph puts all the
+/// expensive sources at the front of the edge range, the shape where
+/// dynamic claiming spreads the head tasks across workers.
+#[test]
+fn workloads_are_thread_count_invariant_on_a_degree_descending_hub_graph() {
+    use cnc_workload::WorkloadKind;
+    let raw = CsrGraph::from_edge_list(&generators::hub_web(1500, 8.0, 6, 0.3, 21));
+    let g = cnc_graph::reorder::degree_descending(&raw).graph;
+    let n = g.num_vertices();
+    let kinds = [
+        WorkloadKind::Cnc,
+        WorkloadKind::Triangle,
+        WorkloadKind::KClique { k: 4 },
+    ];
+    let policies = [SchedulePolicy::uniform(64), SchedulePolicy::balanced(48)];
+    for kernel in [
+        CpuKernel::Mps(MpsConfig::default()),
+        CpuKernel::Bmp(BmpMode::rf_scaled(n)),
+    ] {
+        for kind in kinds {
+            let seq = kernel.run_seq_kind(&g, kind, &mut NullMeter);
+            for schedule in policies {
+                for threads in [1, 2, 3, 8] {
+                    let cfg = ParConfig {
+                        schedule,
+                        threads: Some(threads),
+                    };
+                    assert_eq!(
+                        kernel.run_par_kind(&g, &cfg, kind),
+                        seq,
+                        "{kernel:?} {kind:?} {schedule:?} threads={threads}"
+                    );
+                }
+            }
+        }
+    }
+}

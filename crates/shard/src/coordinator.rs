@@ -222,13 +222,12 @@ pub fn run_sharded(prepared: &PreparedGraph, cfg: &ShardConfig) -> Result<ShardO
 
     // One remap back to the input graph's offsets, exactly where the
     // single-process runner does it.
-    let counts = if plan.reorder {
-        match prepared.reordered() {
-            Some(r) => cnc_core::remap::counts_to_original(prepared.graph(), r, &full),
-            None => full,
+    let counts = match prepared.reordered() {
+        Some(r) if plan.reorder => {
+            let _s = obs.as_ref().map(|ctx| ctx.span("remap"));
+            cnc_core::remap::counts_to_original(prepared.graph(), r, &full)
         }
-    } else {
-        full
+        _ => full,
     };
 
     Ok(ShardOutput {

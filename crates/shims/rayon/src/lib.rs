@@ -10,17 +10,23 @@
 //! * `ThreadPoolBuilder::new().num_threads(t).build()?.install(f)`
 //! * `current_num_threads()`
 //!
-//! Work is split into at most `current_num_threads()` contiguous chunks, one
-//! scoped thread per chunk (none when a single chunk suffices). `install`
-//! sets a thread-local worker-count override so nested parallel calls issued
-//! from the installed closure honor the requested pool size, matching how the
-//! callers here use dedicated pools (thread-scaling experiments).
+//! Every entry point runs through one claiming loop: the index space is cut
+//! into about `current_num_threads() × 32` equal chunks, and up to
+//! `current_num_threads()` workers (the calling thread plus scoped threads)
+//! repeatedly claim the next chunk from a shared atomic cursor until none
+//! are left. That is OpenMP's `schedule(dynamic, chunk)`: a worker that drew
+//! cheap items comes back for more while a busy one is still inside its
+//! chunk, so expensive items clustered at one end of the space (the hub
+//! rows of a degree-descending graph) are spread over every worker. Chunks
+//! are contiguous, so neighboring items still run back to back on one
+//! thread. Each chunk's result is kept with its chunk index and results are
+//! combined in chunk order, so `collect` preserves iteration order and
+//! `reduce` only needs an associative operator.
 //!
-//! This is not a work-stealing scheduler; it trades scheduling quality for
-//! zero dependencies. The contiguous split preserves the cache-friendliness
-//! assumptions of the edge-range drivers (tasks near each other share a
-//! source vertex), which is what the paper's `schedule(dynamic, |T|)` loop
-//! relies on.
+//! `install` sets a thread-local worker-count override that parallel calls
+//! issued from the installed closure, and from the workers they start,
+//! honor — matching how the callers here use dedicated pools
+//! (thread-scaling experiments).
 
 #![warn(missing_docs)]
 
@@ -29,6 +35,8 @@ use std::error::Error;
 use std::fmt;
 use std::ops::Range;
 use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::thread;
 
 /// The traits a `use rayon::prelude::*;` caller expects in scope.
@@ -122,72 +130,126 @@ impl ThreadPool {
     }
 }
 
-/// Contiguous sub-ranges of `0..len`, at most `current_num_threads()` many.
-fn split_ranges(len: usize) -> Vec<Range<usize>> {
-    if len == 0 {
-        return Vec::new();
+/// Chunks per worker in the claiming loop. Enough that the hub-heavy head
+/// of a skewed index space is cut into pieces every worker can take a
+/// share of; few enough that claiming and combining stay negligible.
+const CLAIMS_PER_THREAD: usize = 32;
+
+/// The chunk layout of `0..len` for `threads` workers: `count` chunks of
+/// `size` items each (the last one may be shorter).
+#[derive(Debug, Clone, Copy)]
+struct Claims {
+    len: usize,
+    size: usize,
+    count: usize,
+    threads: usize,
+}
+
+impl Claims {
+    fn new(len: usize) -> Self {
+        let threads = current_num_threads().max(1);
+        let size = len.div_ceil(threads * CLAIMS_PER_THREAD).max(1);
+        Self {
+            len,
+            size,
+            count: len.div_ceil(size),
+            threads,
+        }
     }
-    let chunks = current_num_threads().clamp(1, len);
-    let per = len.div_ceil(chunks);
-    (0..len)
-        .step_by(per)
-        .map(|s| s..(s + per).min(len))
+
+    /// Item range of chunk `c`.
+    fn range(&self, c: usize) -> Range<usize> {
+        c * self.size..((c + 1) * self.size).min(self.len)
+    }
+}
+
+/// The claiming loop: workers pull chunk indices of `claims` from a shared
+/// cursor and run `work` on each; the results come back in chunk order.
+/// The calling thread is one of the workers. Worker panics are re-raised on
+/// the caller with their original payload.
+fn run_claimed<T, F>(claims: Claims, work: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let workers = claims.threads.min(claims.count);
+    if workers <= 1 {
+        return (0..claims.count).map(work).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let c = cursor.fetch_add(1, Ordering::Relaxed);
+            if c >= claims.count {
+                return done;
+            }
+            done.push((c, work(c)));
+        }
+    };
+    let per_worker: Vec<thread::Result<Vec<(usize, T)>>> = thread::scope(|s| {
+        let handles: Vec<_> = (1..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    POOL_THREADS.with(|p| p.set(Some(claims.threads)));
+                    claim()
+                })
+            })
+            .collect();
+        let mine = claim();
+        std::iter::once(Ok(mine))
+            .chain(handles.into_iter().map(|h| h.join()))
+            .collect()
+    });
+    let mut slots: Vec<Option<T>> = (0..claims.count).map(|_| None).collect();
+    for done in per_worker {
+        for (c, t) in done.unwrap_or_else(|payload| resume_unwind(payload)) {
+            slots[c] = Some(t);
+        }
+    }
+    slots
+        .into_iter()
+        .map(|t| t.expect("every chunk is claimed exactly once"))
         .collect()
 }
 
-/// Run `work` over each sub-range of `0..len` (one scoped thread per range
-/// when more than one), returning per-range results in range order. Worker
-/// panics are re-raised on the caller with their original payload.
-fn run_split<T, F>(len: usize, work: F) -> Vec<T>
+/// Run `work(range)` over the chunks of `0..len`, results in chunk order.
+fn run_ranges<T, F>(len: usize, work: F) -> Vec<T>
 where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
-    let ranges = split_ranges(len);
-    if ranges.len() <= 1 {
-        return ranges.into_iter().map(&work).collect();
-    }
-    let results: Vec<thread::Result<T>> = thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|r| {
-                let work = &work;
-                s.spawn(move || work(r))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-    results
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
-        .collect()
+    let claims = Claims::new(len);
+    run_claimed(claims, |c| work(claims.range(c)))
 }
 
-/// Like [`run_split`] but over owned per-range payloads (used for `&mut`
-/// splits, which must be carved up before spawning).
-fn run_parts<P, T, F>(parts: Vec<P>, work: F) -> Vec<T>
+/// Run `work(first_unit, items)` over `slice` viewed as `unit`-item units:
+/// the units are chunked like [`run_ranges`] and each chunk's items are
+/// handed out as a disjoint `&mut` piece, carved before any worker starts.
+fn run_pieces_mut<T, F>(slice: &mut [T], unit: usize, work: F)
 where
-    P: Send,
     T: Send,
-    F: Fn(P) -> T + Sync,
+    F: Fn(usize, &mut [T]) + Sync,
 {
-    if parts.len() <= 1 {
-        return parts.into_iter().map(&work).collect();
+    let len = slice.len();
+    let claims = Claims::new(len.div_ceil(unit));
+    let mut pieces = Vec::with_capacity(claims.count);
+    let mut rest = slice;
+    for c in 0..claims.count {
+        let r = claims.range(c);
+        let take = (r.end * unit).min(len) - r.start * unit;
+        let (piece, tail) = rest.split_at_mut(take);
+        pieces.push(Mutex::new(Some(piece)));
+        rest = tail;
     }
-    let results: Vec<thread::Result<T>> = thread::scope(|s| {
-        let handles: Vec<_> = parts
-            .into_iter()
-            .map(|p| {
-                let work = &work;
-                s.spawn(move || work(p))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join()).collect()
+    run_claimed(claims, |c| {
+        let piece = pieces[c]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+            .expect("every chunk is claimed exactly once");
+        work(claims.range(c).start, piece);
     });
-    results
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
-        .collect()
 }
 
 /// Index types a parallel range can iterate over.
@@ -243,7 +305,7 @@ impl<I: ParIndex> ParRange<I> {
     where
         F: Fn(I) + Sync,
     {
-        run_split(self.len, |r| {
+        run_ranges(self.len, |r| {
             for off in r {
                 f(I::offset(self.start, off));
             }
@@ -277,7 +339,7 @@ impl<I: ParIndex, F> ParRangeMap<I, F> {
     {
         let start = self.range.start;
         let f = &self.f;
-        let parts = run_split(self.range.len, |r| {
+        let parts = run_ranges(self.range.len, |r| {
             r.map(|off| f(I::offset(start, off))).collect::<Vec<R>>()
         });
         C::from_ordered_parts(parts)
@@ -291,19 +353,19 @@ impl<I: ParIndex, F> ParRangeMap<I, F> {
     {
         let start = self.range.start;
         let f = &self.f;
-        run_split(self.range.len, |r| {
+        run_ranges(self.range.len, |r| {
             for off in r {
                 f(I::offset(start, off));
             }
         });
     }
 
-    /// Fold the mapped values into one, rayon-style: each worker folds its
-    /// own contiguous chunk into a thread-local accumulator seeded from
-    /// `identity` (no shared state, no lock), and the per-worker partials
-    /// are combined on the caller in chunk order. `op` must be associative
-    /// and `identity()` its neutral element for the result to be
-    /// split-invariant.
+    /// Fold the mapped values into one, rayon-style: each claimed chunk is
+    /// folded into its own accumulator seeded from `identity` (no shared
+    /// state, no lock), and the per-chunk partials are combined on the
+    /// caller in chunk order. `op` must be associative and `identity()` its
+    /// neutral element for the result to be split-invariant; it need not be
+    /// commutative.
     pub fn reduce<R, ID, OP>(self, identity: ID, op: OP) -> R
     where
         R: Send,
@@ -313,7 +375,7 @@ impl<I: ParIndex, F> ParRangeMap<I, F> {
     {
         let start = self.range.start;
         let f = &self.f;
-        let parts = run_split(self.range.len, |r| {
+        let parts = run_ranges(self.range.len, |r| {
             r.fold(identity(), |acc, off| op(acc, f(I::offset(start, off))))
         });
         parts.into_iter().fold(identity(), &op)
@@ -362,7 +424,7 @@ impl<'a, T: Sync> ParSliceIter<'a, T> {
         F: Fn(&'a T) + Sync,
     {
         let slice = self.slice;
-        run_split(slice.len(), |r| {
+        run_ranges(slice.len(), |r| {
             for item in &slice[r] {
                 f(item);
             }
@@ -392,19 +454,6 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
     }
 }
 
-/// Split `slice` at the given item boundaries (ascending, exclusive ends).
-fn carve<'a, T>(mut slice: &'a mut [T], ranges: &[Range<usize>]) -> Vec<&'a mut [T]> {
-    let mut parts = Vec::with_capacity(ranges.len());
-    let mut consumed = 0;
-    for r in ranges {
-        let (head, tail) = slice.split_at_mut(r.end - consumed);
-        consumed = r.end;
-        parts.push(head);
-        slice = tail;
-    }
-    parts
-}
-
 /// Parallel exclusive-slice iterator.
 #[derive(Debug)]
 pub struct ParSliceIterMut<'a, T> {
@@ -417,13 +466,7 @@ impl<T: Send> ParSliceIterMut<'_, T> {
     where
         F: Fn(&mut T) + Sync,
     {
-        let ranges = split_ranges(self.slice.len());
-        let parts = carve(self.slice, &ranges);
-        run_parts(parts, |part| {
-            for item in part {
-                f(item);
-            }
-        });
+        run_pieces_mut(self.slice, 1, |_, piece| piece.iter_mut().for_each(&f));
     }
 }
 
@@ -440,34 +483,12 @@ impl<'a, T: Send> ParChunksMut<'a, T> {
         ParChunksMutEnumerate(self)
     }
 
-    /// Split into per-worker runs of whole chunks: `(first chunk index,
-    /// items)` per run.
-    fn runs(self) -> Vec<(usize, &'a mut [T])> {
-        let n_chunks = self.slice.len().div_ceil(self.chunk_size);
-        let chunk_ranges = split_ranges(n_chunks);
-        let item_ranges: Vec<Range<usize>> = chunk_ranges
-            .iter()
-            .map(|r| (r.start * self.chunk_size)..(r.end * self.chunk_size).min(self.slice.len()))
-            .collect();
-        let parts = carve(self.slice, &item_ranges);
-        chunk_ranges
-            .into_iter()
-            .map(|r| r.start)
-            .zip(parts)
-            .collect()
-    }
-
     /// Apply `f` to every chunk.
     pub fn for_each<F>(self, f: F)
     where
         F: Fn(&mut [T]) + Sync,
     {
-        let chunk_size = self.chunk_size;
-        run_parts(self.runs(), |(_, items)| {
-            for chunk in items.chunks_mut(chunk_size) {
-                f(chunk);
-            }
-        });
+        self.enumerate().for_each(|(_, chunk)| f(chunk));
     }
 }
 
@@ -482,8 +503,8 @@ impl<T: Send> ParChunksMutEnumerate<'_, T> {
         F: Fn((usize, &mut [T])) + Sync,
     {
         let chunk_size = self.0.chunk_size;
-        run_parts(self.0.runs(), |(first_chunk, items)| {
-            for (i, chunk) in items.chunks_mut(chunk_size).enumerate() {
+        run_pieces_mut(self.0.slice, chunk_size, |first_chunk, piece| {
+            for (i, chunk) in piece.chunks_mut(chunk_size).enumerate() {
                 f((first_chunk + i, chunk));
             }
         });
@@ -494,7 +515,6 @@ impl<T: Send> ParChunksMutEnumerate<'_, T> {
 mod tests {
     use super::prelude::*;
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn range_for_each_covers_every_index() {
@@ -559,5 +579,102 @@ mod tests {
             pool.install(|| (0..100usize).into_par_iter().for_each(|i| assert!(i < 50)));
         });
         assert!(r.is_err());
+    }
+
+    /// Lengths around the worker count and one far above it, under pools
+    /// smaller than, equal to and larger than the host.
+    fn lengths_and_pools() -> Vec<(usize, usize)> {
+        let mut cases = Vec::new();
+        for threads in [1usize, 2, 3, 8] {
+            let lens = [0, 1, threads - 1, threads + 1, 10_001];
+            cases.extend(lens.into_iter().map(|len| (len, threads)));
+        }
+        cases
+    }
+
+    #[test]
+    fn collect_and_non_commutative_reduce_match_serial() {
+        for (len, threads) in lengths_and_pools() {
+            let pool = ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let (collected, reduced) = pool.install(|| {
+                let collected: Vec<usize> = (0..len).into_par_iter().map(|i| i * 7).collect();
+                // Concatenation is associative but not commutative: any
+                // out-of-order combine shows up as a permuted vector.
+                let reduced =
+                    (0..len)
+                        .into_par_iter()
+                        .map(|i| vec![i])
+                        .reduce(Vec::new, |mut a, b| {
+                            a.extend(b);
+                            a
+                        });
+                (collected, reduced)
+            });
+            let serial: Vec<usize> = (0..len).map(|i| i * 7).collect();
+            assert_eq!(collected, serial, "collect, len {len}, {threads} threads");
+            assert_eq!(
+                reduced,
+                (0..len).collect::<Vec<_>>(),
+                "reduce, len {len}, {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn front_loaded_cost_is_shared_between_workers() {
+        // All the cost sits in the first half of the index space, the shape
+        // of a degree-descending edge range. A contiguous split hands that
+        // whole half to one thread; dynamic claiming must not.
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let n = 64;
+        let ids = Mutex::new(Vec::new());
+        pool.install(|| {
+            (0..n).into_par_iter().for_each(|i| {
+                if i < n / 2 {
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                    ids.lock().unwrap().push(std::thread::current().id());
+                }
+            })
+        });
+        let mut ids = ids.into_inner().unwrap();
+        assert_eq!(ids.len(), n / 2);
+        ids.sort_by_key(|id| format!("{id:?}"));
+        ids.dedup();
+        assert!(ids.len() > 1, "the costly half ran on one thread");
+    }
+
+    /// The payload of the panic `f` raises, as a string.
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f).expect_err("must panic");
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .expect("payload is a message")
+    }
+
+    #[test]
+    fn mutable_slice_panics_keep_their_payload() {
+        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let msg = panic_message(|| {
+            let mut a: Vec<u32> = (0..1000).collect();
+            pool.install(|| {
+                a.par_iter_mut()
+                    .for_each(|x| assert!(*x != 500, "boom in par_iter_mut"))
+            });
+        });
+        assert_eq!(msg, "boom in par_iter_mut");
+        let msg = panic_message(|| {
+            let mut a = vec![0u32; 1000];
+            pool.install(|| {
+                a.par_chunks_mut(7)
+                    .enumerate()
+                    .for_each(|(ci, _)| assert!(ci < 100, "boom in par_chunks_mut"))
+            });
+        });
+        assert_eq!(msg, "boom in par_chunks_mut");
     }
 }

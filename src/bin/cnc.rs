@@ -379,8 +379,9 @@ fn parse_schedule(args: &mut Vec<String>) -> Result<Option<SchedulePolicy>, Stri
         None => Ok(None),
         Some("uniform") => Ok(Some(SchedulePolicy::default())),
         Some("balanced") => {
-            // Enough tasks for work stealing to smooth residual estimation
-            // error, few enough to keep per-task overhead negligible.
+            // Enough tasks for dynamic claiming to smooth residual
+            // estimation error, few enough to keep per-task overhead
+            // negligible.
             let workers = std::thread::available_parallelism().map_or(8, |n| n.get());
             Ok(Some(SchedulePolicy::balanced(4 * workers)))
         }

@@ -139,6 +139,10 @@ fn killed_worker_is_retried_once_and_counted() {
     assert_eq!(shard_span.children.len(), out.workers);
     assert!(shard_span.children.iter().all(|c| c.name == "execute"));
     assert!(shard_span.children.iter().all(|c| c.items > 0));
+    assert!(
+        report.spans.iter().any(|s| s.name == "remap"),
+        "the reordered gather is remapped under its own span"
+    );
 
     // Both attempts dying exhausts the retry budget: a typed error naming
     // the shard and the attempt count.

@@ -9,7 +9,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use cnc_cpu::{par_mps, seq_bmp, seq_mps, BmpMode, ParConfig};
+use cnc_core::WorkloadKind::Cnc;
+use cnc_cpu::{BmpMode, CpuKernel, ParConfig};
 use cnc_graph::datasets::{Dataset, Scale};
 use cnc_graph::reorder;
 use cnc_graph::CsrGraph;
@@ -20,6 +21,7 @@ use cnc_intersect::{
 
 /// The hybrid threshold sweep: pure merge (t=∞) ↔ pure pivot-skip (t=0).
 fn ablation_threshold(c: &mut Criterion) {
+    let seq = ParConfig::sequential();
     let g = Dataset::TwS.build(Scale::Tiny);
     let mut group = c.benchmark_group("ablation_threshold_tw");
     group.sample_size(15);
@@ -29,7 +31,7 @@ fn ablation_threshold(c: &mut Criterion) {
                 skew_threshold: t,
                 simd: SimdLevel::detect(),
             };
-            b.iter(|| seq_mps(&g, &cfg, &mut NullMeter))
+            b.iter(|| CpuKernel::Mps(cfg).execute(&g, Cnc, &seq, false))
         });
     }
     group.finish();
@@ -43,7 +45,7 @@ fn ablation_task_size(c: &mut Criterion) {
     for t in [64usize, 1024, 8192, 65_536] {
         group.bench_with_input(BenchmarkId::from_parameter(t), &t, |b, &t| {
             let cfg = ParConfig::with_task_size(t);
-            b.iter(|| par_mps(&g, &MpsConfig::default(), &cfg))
+            b.iter(|| CpuKernel::Mps(MpsConfig::default()).execute(&g, Cnc, &cfg, false))
         });
     }
     group.finish();
@@ -51,15 +53,18 @@ fn ablation_task_size(c: &mut Criterion) {
 
 /// RF ratio sweep on the uniform analogue (RF's win case).
 fn ablation_rf_ratio(c: &mut Criterion) {
+    let seq = ParConfig::sequential();
     let g = reorder::degree_descending(&Dataset::FrS.build(Scale::Tiny)).graph;
     let mut group = c.benchmark_group("ablation_rf_ratio_fr");
     group.sample_size(15);
     group.bench_function("off", |b| {
-        b.iter(|| seq_bmp(&g, BmpMode::Plain, &mut NullMeter))
+        b.iter(|| CpuKernel::Bmp(BmpMode::Plain).execute(&g, Cnc, &seq, false))
     });
     for ratio in [2usize, 8, 64, 512, 4096] {
         group.bench_with_input(BenchmarkId::from_parameter(ratio), &ratio, |b, &ratio| {
-            b.iter(|| seq_bmp(&g, BmpMode::RangeFiltered { ratio }, &mut NullMeter))
+            b.iter(|| {
+                CpuKernel::Bmp(BmpMode::RangeFiltered { ratio }).execute(&g, Cnc, &seq, false)
+            })
         });
     }
     group.finish();
@@ -191,6 +196,7 @@ fn ablation_index(c: &mut Criterion) {
 
 /// BMP with and without the degree-descending relabeling.
 fn ablation_reorder(c: &mut Criterion) {
+    let seq = ParConfig::sequential();
     let raw = Dataset::WiS.build(Scale::Tiny);
     let degree_ordered = reorder::degree_descending(&raw).graph;
     let core_ordered = reorder::core_descending(&raw).graph;
@@ -200,16 +206,16 @@ fn ablation_reorder(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_reorder");
     group.sample_size(15);
     group.bench_function("wi_raw_ids", |b| {
-        b.iter(|| seq_bmp(&raw, BmpMode::Plain, &mut NullMeter))
+        b.iter(|| CpuKernel::Bmp(BmpMode::Plain).execute(&raw, Cnc, &seq, false))
     });
     group.bench_function("wi_degree_descending", |b| {
-        b.iter(|| seq_bmp(&degree_ordered, BmpMode::Plain, &mut NullMeter))
+        b.iter(|| CpuKernel::Bmp(BmpMode::Plain).execute(&degree_ordered, Cnc, &seq, false))
     });
     group.bench_function("wi_core_descending", |b| {
-        b.iter(|| seq_bmp(&core_ordered, BmpMode::Plain, &mut NullMeter))
+        b.iter(|| CpuKernel::Bmp(BmpMode::Plain).execute(&core_ordered, Cnc, &seq, false))
     });
     group.bench_function("ba_raw_ids", |b| {
-        b.iter(|| seq_bmp(&ba, BmpMode::Plain, &mut NullMeter))
+        b.iter(|| CpuKernel::Bmp(BmpMode::Plain).execute(&ba, Cnc, &seq, false))
     });
     group.finish();
 }

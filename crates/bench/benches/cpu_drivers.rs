@@ -5,12 +5,14 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use cnc_cpu::{par_bmp, par_merge_baseline, par_mps, seq_bmp, seq_mps, BmpMode, ParConfig};
+use cnc_core::WorkloadKind::Cnc;
+use cnc_cpu::{BmpMode, CpuKernel, ParConfig};
 use cnc_graph::datasets::{Dataset, Scale};
 use cnc_graph::reorder;
-use cnc_intersect::{MpsConfig, NullMeter};
+use cnc_intersect::MpsConfig;
 
 fn bench_drivers(c: &mut Criterion) {
+    let seq = ParConfig::sequential();
     for d in [Dataset::TwS, Dataset::FrS] {
         let g = reorder::degree_descending(&d.build(Scale::Tiny)).graph;
         let edges = g.num_directed_edges() as u64;
@@ -19,27 +21,34 @@ fn bench_drivers(c: &mut Criterion) {
         group.sample_size(20);
 
         group.bench_function("seq_mps", |b| {
-            b.iter(|| seq_mps(&g, &MpsConfig::default(), &mut NullMeter))
+            b.iter(|| CpuKernel::Mps(MpsConfig::default()).execute(&g, Cnc, &seq, false))
         });
         group.bench_function("seq_bmp_rf", |b| {
-            b.iter(|| seq_bmp(&g, BmpMode::rf_scaled(g.num_vertices()), &mut NullMeter))
+            b.iter(|| {
+                CpuKernel::Bmp(BmpMode::rf_scaled(g.num_vertices())).execute(&g, Cnc, &seq, false)
+            })
         });
         let par = ParConfig::default();
         group.bench_function("par_baseline_m", |b| {
-            b.iter(|| par_merge_baseline(&g, &par))
+            b.iter(|| CpuKernel::Merge.execute(&g, Cnc, &par, false))
         });
         group.bench_function("par_mps", |b| {
-            b.iter(|| par_mps(&g, &MpsConfig::default(), &par))
+            b.iter(|| CpuKernel::Mps(MpsConfig::default()).execute(&g, Cnc, &par, false))
         });
-        group.bench_function("par_bmp", |b| b.iter(|| par_bmp(&g, BmpMode::Plain, &par)));
+        group.bench_function("par_bmp", |b| {
+            b.iter(|| CpuKernel::Bmp(BmpMode::Plain).execute(&g, Cnc, &par, false))
+        });
         group.bench_function("par_bmp_rf", |b| {
-            b.iter(|| par_bmp(&g, BmpMode::rf_scaled(g.num_vertices()), &par))
+            b.iter(|| {
+                CpuKernel::Bmp(BmpMode::rf_scaled(g.num_vertices())).execute(&g, Cnc, &par, false)
+            })
         });
         group.finish();
     }
 }
 
 fn bench_simd_levels(c: &mut Criterion) {
+    let seq = ParConfig::sequential();
     use cnc_intersect::SimdLevel;
     let g = Dataset::FrS.build(Scale::Tiny);
     let mut group = c.benchmark_group("mps_simd_levels_fr");
@@ -55,7 +64,7 @@ fn bench_simd_levels(c: &mut Criterion) {
             &level,
             |b, &level| {
                 let cfg = MpsConfig::with_simd(level);
-                b.iter(|| seq_mps(&g, &cfg, &mut NullMeter))
+                b.iter(|| CpuKernel::Mps(cfg).execute(&g, Cnc, &seq, false))
             },
         );
     }

@@ -12,10 +12,11 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use cnc_cpu::{par_bmp, par_mps, BmpMode, CpuKernel, ParConfig};
+use cnc_core::WorkloadKind::Cnc;
+use cnc_cpu::{BmpMode, CpuKernel, ParConfig};
 use cnc_graph::datasets::{Dataset, Scale};
 use cnc_graph::reorder;
-use cnc_intersect::{MpsConfig, NullMeter};
+use cnc_intersect::MpsConfig;
 
 fn bench_schedule_policies(c: &mut Criterion) {
     // TW is the skewed hub-web analogue; FR is the near-uniform control.
@@ -32,22 +33,23 @@ fn bench_schedule_policies(c: &mut Criterion) {
         group.throughput(Throughput::Elements(edges));
         group.sample_size(20);
         group.bench_function("uniform/bmp", |b| {
-            b.iter(|| par_bmp(&g, BmpMode::Plain, &uniform))
+            b.iter(|| CpuKernel::Bmp(BmpMode::Plain).execute(&g, Cnc, &uniform, false))
         });
         group.bench_function("balanced/bmp", |b| {
-            b.iter(|| par_bmp(&g, BmpMode::Plain, &balanced))
+            b.iter(|| CpuKernel::Bmp(BmpMode::Plain).execute(&g, Cnc, &balanced, false))
         });
         group.bench_function("uniform/mps", |b| {
-            b.iter(|| par_mps(&g, &MpsConfig::default(), &uniform))
+            b.iter(|| CpuKernel::Mps(MpsConfig::default()).execute(&g, Cnc, &uniform, false))
         });
         group.bench_function("balanced/mps", |b| {
-            b.iter(|| par_mps(&g, &MpsConfig::default(), &balanced))
+            b.iter(|| CpuKernel::Mps(MpsConfig::default()).execute(&g, Cnc, &balanced, false))
         });
         group.finish();
     }
 }
 
 fn bench_reverse_index(c: &mut Criterion) {
+    let seq = ParConfig::sequential();
     // Single-thread whole-range BMP run at Small scale (the graph no
     // longer fits in cache, so the search's random probes cost real
     // memory traffic): the mirror lookup is the only thing that differs
@@ -60,10 +62,10 @@ fn bench_reverse_index(c: &mut Criterion) {
     group.throughput(Throughput::Elements(searched.num_directed_edges() as u64));
     group.sample_size(10);
     group.bench_function("binary_search", |b| {
-        b.iter(|| kernel.run_seq(&searched, &mut NullMeter))
+        b.iter(|| kernel.execute(&searched, Cnc, &seq, false))
     });
     group.bench_function("rev_index", |b| {
-        b.iter(|| kernel.run_seq(&indexed, &mut NullMeter))
+        b.iter(|| kernel.execute(&indexed, Cnc, &seq, false))
     });
     group.finish();
 }

@@ -13,7 +13,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use cnc_cpu::{seq_bmp, seq_mps, BmpMode};
+use cnc_core::WorkloadKind::Cnc;
+use cnc_cpu::{BmpMode, CpuKernel, ParConfig};
 use cnc_graph::datasets::{Dataset, Scale};
 use cnc_intersect::{
     bmp_count_tier, gallop_lower_bound_tier, Bitmap, MpsConfig, NullMeter, SimdTier,
@@ -94,6 +95,7 @@ fn bench_gallop(c: &mut Criterion) {
 /// and MPS pipelines with the process tier forced, so every dispatch site
 /// (bitmap probes, gallop, VB blocks, linear prefix) switches together.
 fn bench_end_to_end(c: &mut Criterion) {
+    let seq = ParConfig::sequential();
     for dataset in [Dataset::TwS, Dataset::LjS] {
         let g = dataset.build(Scale::Small);
         let mut group = c.benchmark_group(format!("simd_e2e_{}", dataset.name()));
@@ -104,12 +106,17 @@ fn bench_end_to_end(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new("seq_bmp", tier.label()),
                 &tier,
-                |bench, _| bench.iter(|| seq_bmp(&g, BmpMode::Plain, &mut NullMeter)),
+                |bench, _| {
+                    bench.iter(|| CpuKernel::Bmp(BmpMode::Plain).execute(&g, Cnc, &seq, false))
+                },
             );
             group.bench_with_input(
                 BenchmarkId::new("seq_mps", tier.label()),
                 &tier,
-                |bench, _| bench.iter(|| seq_mps(&g, &MpsConfig::default(), &mut NullMeter)),
+                |bench, _| {
+                    bench
+                        .iter(|| CpuKernel::Mps(MpsConfig::default()).execute(&g, Cnc, &seq, false))
+                },
             );
         }
         group.finish();

@@ -17,13 +17,14 @@
 //! * [`GpuSimBackend`] — the simulated GPU.
 //!
 //! All CPU-side execution (including the modeled processors' functional
-//! runs) goes through `cnc_cpu::CpuKernel`, i.e. the one generic
-//! `EdgeRangeDriver` loop.
+//! runs) goes through `cnc_cpu::CpuKernel::execute`, i.e. the one generic
+//! edge-range loop; the two real-CPU backends share one body and differ
+//! only in the schedule they pass.
 
 use cnc_cpu::{CpuKernel, ParConfig};
 use cnc_gpu::{GpuAlgo, GpuRunConfig, GpuRunner};
 use cnc_graph::PreparedGraph;
-use cnc_intersect::{CountingMeter, NullMeter, WorkCounts};
+use cnc_intersect::WorkCounts;
 use cnc_knl::{counts_and_work_of, profile_from_work, ModeledAlgo, ModeledProcessor};
 use cnc_machine::MemMode;
 use cnc_obs::ObsContext;
@@ -68,35 +69,7 @@ impl Backend for CpuSeqBackend {
     }
 
     fn execute(&self, prepared: &PreparedGraph, plan: &Plan) -> Execution {
-        let g = prepared.execution_graph(plan.reorder);
-        // Observed runs meter (the metered specialization provably returns
-        // identical counts) so the registry carries exact kernel tallies;
-        // plain runs keep the zero-overhead NullMeter path.
-        let (output, work) = match ObsContext::current() {
-            Some(ctx) => {
-                let mut meter = CountingMeter::new();
-                let output = {
-                    // Match the parallel skeleton's span tree:
-                    // execute → workload → kernel.
-                    let _w = ctx.span("workload");
-                    let _s = ctx.span("kernel");
-                    plan.cpu_kernel.run_seq_kind(g, plan.workload, &mut meter)
-                };
-                meter.counts.record_to(&*ctx);
-                (output, Some(meter.counts))
-            }
-            None => (
-                plan.cpu_kernel
-                    .run_seq_kind(g, plan.workload, &mut NullMeter),
-                None,
-            ),
-        };
-        Execution {
-            output,
-            modeled_seconds: None,
-            work,
-            detail: RunDetail::Measured,
-        }
+        execute_on_cpu(prepared, plan, &ParConfig::sequential())
     }
 }
 
@@ -113,26 +86,24 @@ impl Backend for CpuParBackend {
     }
 
     fn execute(&self, prepared: &PreparedGraph, plan: &Plan) -> Execution {
-        let g = prepared.execution_graph(plan.reorder);
-        let cfg = plan.partitioning.unwrap_or(self.cfg);
-        // Observed runs take the metered parallel path (identical counts by
-        // construction — every driver mode runs the same `run_range` loop)
-        // and record the merged per-task tallies. The workload and kernel
-        // spans open inside the parallel skeleton itself.
-        let (output, work) = match ObsContext::current() {
-            Some(ctx) => {
-                let (output, work) = plan.cpu_kernel.run_par_metered_kind(g, &cfg, plan.workload);
-                work.record_to(&*ctx);
-                (output, Some(work))
-            }
-            None => (plan.cpu_kernel.run_par_kind(g, &cfg, plan.workload), None),
-        };
-        Execution {
-            output,
-            modeled_seconds: None,
-            work,
-            detail: RunDetail::Measured,
-        }
+        execute_on_cpu(prepared, plan, &plan.partitioning.unwrap_or(self.cfg))
+    }
+}
+
+/// The body of both real-CPU backends: the plan's kernel and workload
+/// through `CpuKernel::execute` under `cfg`. Observed runs meter (identical
+/// counts by construction — every run is the same `run_range` loop), and
+/// the driver records the merged tallies and opens the workload, kernel
+/// and task spans itself; unobserved runs take the unmetered loop.
+fn execute_on_cpu(prepared: &PreparedGraph, plan: &Plan, cfg: &ParConfig) -> Execution {
+    let g = prepared.execution_graph(plan.reorder);
+    let observed = ObsContext::current().is_some();
+    let (output, work) = plan.cpu_kernel.execute(g, plan.workload, cfg, observed);
+    Execution {
+        output,
+        modeled_seconds: None,
+        work,
+        detail: RunDetail::Measured,
     }
 }
 

@@ -12,8 +12,10 @@
 //! 2. sort by source and deduplicate — duplicate queries in one batch are
 //!    answered by a single kernel probe;
 //! 3. execute the unique pairs as one cost-balanced, source-aligned
-//!    schedule (`cnc_cpu::count_pairs`), building per-source kernel state
-//!    once per source per batch;
+//!    schedule ([`BatchCounter::count_pairs`]), building per-source kernel
+//!    state once per source per batch, through the same task fan-out (and
+//!    so the same `workload → kernel → task` spans and schedule counters)
+//!    as a whole-graph run;
 //! 4. scatter the counts back to the callers' query order.
 //!
 //! `topk` / `scan` queries are answered from a lazily computed, cached bulk
@@ -390,6 +392,43 @@ mod tests {
         let (capped_total, capped) = s.scan(0, 3);
         assert_eq!(capped_total, all.len());
         assert_eq!(capped.len(), 3);
+    }
+
+    #[test]
+    fn observed_batches_report_schedule_counters_and_task_spans() {
+        // A batch runs through the same fan-out as a whole-graph run: it
+        // reports `schedule.tasks` equal to `driver.tasks`, and its tasks
+        // nest as execute → workload → kernel → task.
+        use cnc_obs::Counter as C;
+        let (s, _) = session(Algorithm::bmp_rf());
+        let g = s.prepared().graph().clone();
+        let queries: Vec<(u32, u32)> = g.iter_edges().map(|(_, u, v)| (u, v)).collect();
+        let ctx = Arc::new(ObsContext::new());
+        let guard = ctx.install();
+        s.count_batch(&queries);
+        s.count_batch(&queries[..queries.len() / 3]);
+        drop(guard);
+        let snap = ctx.counters();
+        assert!(snap.get(C::DriverTasks) > 0);
+        assert_eq!(snap.get(C::ScheduleTasks), snap.get(C::DriverTasks));
+        assert!(snap.get(C::ScheduleEstCostMax) >= snap.get(C::ScheduleEstCostMin));
+        assert!(snap.get(C::WorkloadEdgesVisited) > 0);
+        let roots = ctx.recorder().tree();
+        let executes: Vec<_> = roots.iter().filter(|r| r.name == "execute").collect();
+        assert_eq!(executes.len(), 2, "one execute span per batch");
+        for execute in executes {
+            let workload = execute
+                .children
+                .iter()
+                .find(|c| c.name == "workload")
+                .expect("workload under execute");
+            let kernel = workload
+                .children
+                .iter()
+                .find(|c| c.name == "kernel")
+                .expect("kernel under workload");
+            assert!(kernel.children.iter().any(|t| t.name == "task"));
+        }
     }
 
     #[test]

@@ -55,9 +55,7 @@ pub use cnc_graph::{PreparedGraph, ReorderPolicy};
 pub use cnc_workload::{WorkloadError, WorkloadKind, WorkloadOutput};
 pub use incremental::{IncrementalCnc, IncrementalError};
 pub use plan::{KernelSubstitution, Plan, PlanError};
-pub use runner::{
-    Algorithm, CncResult, Platform, RfChoice, RunDetail, RunOutput, RunStats, Runner,
-};
+pub use runner::{Algorithm, Platform, RfChoice, RunDetail, RunOutput, RunStats, Runner};
 pub use scan::{scan, scan_parallel, try_scan, try_scan_parallel, Role, ScanError, ScanResult};
 pub use truss::{truss_decomposition, TrussError, TrussResult};
 pub use verify::{reference_counts, verify_counts, VerifyError};

@@ -215,9 +215,6 @@ pub struct RunOutput {
     pub report: RunReport,
 }
 
-/// The historical name of a CNC run's outcome.
-pub type CncResult = RunOutput;
-
 impl RunOutput {
     /// The per-edge counts of a CNC run.
     ///
@@ -361,7 +358,7 @@ impl Runner {
     /// # Panics
     /// On invalid kernel configuration (see [`Runner::try_run`] for the
     /// non-panicking form).
-    pub fn run(&self, g: &CsrGraph) -> CncResult {
+    pub fn run(&self, g: &CsrGraph) -> RunOutput {
         self.try_run(g)
             .unwrap_or_else(|e| panic!("cannot run {:?}: {e}", self.algorithm.label()))
     }
@@ -371,7 +368,7 @@ impl Runner {
     /// # Panics
     /// On invalid kernel configuration (see [`Runner::try_run_prepared`]
     /// for the non-panicking form).
-    pub fn run_prepared(&self, prepared: &PreparedGraph) -> CncResult {
+    pub fn run_prepared(&self, prepared: &PreparedGraph) -> RunOutput {
         self.try_run_prepared(prepared)
             .unwrap_or_else(|e| panic!("cannot run {:?}: {e}", self.algorithm.label()))
     }
@@ -380,7 +377,7 @@ impl Runner {
     /// flag), then delegate to [`Runner::try_run_prepared`]. Callers running
     /// the same graph more than once should prepare it themselves and share
     /// the `Arc` — this convenience path re-prepares per call.
-    pub fn try_run(&self, g: &CsrGraph) -> Result<CncResult, PlanError> {
+    pub fn try_run(&self, g: &CsrGraph) -> Result<RunOutput, PlanError> {
         let prepared = PreparedGraph::from_csr(g.clone(), self.reorder_policy());
         self.try_run_prepared(&prepared)
     }
@@ -390,7 +387,7 @@ impl Runner {
     /// holds, and reordering only takes effect when the preparation
     /// computed the relabel (counts are then remapped back to the original
     /// graph's offsets).
-    pub fn try_run_prepared(&self, prepared: &PreparedGraph) -> Result<CncResult, PlanError> {
+    pub fn try_run_prepared(&self, prepared: &PreparedGraph) -> Result<RunOutput, PlanError> {
         let t0 = Instant::now();
         // Ambient observability: when a context is installed on this thread,
         // the run's stages record spans and every layer below mirrors its
@@ -711,9 +708,14 @@ mod tests {
         // Ground truth: a plain metered run of the same plan.
         let pg = PreparedGraph::from_csr(g.clone(), runner.reorder_policy());
         let plan = runner.plan(&pg).unwrap();
-        let (want_counts, want_work) = plan
-            .cpu_kernel
-            .run_par_metered(pg.graph(), &cnc_cpu::ParConfig::default());
+        let (want_output, want_work) = plan.cpu_kernel.execute(
+            pg.graph(),
+            plan.workload,
+            &cnc_cpu::ParConfig::default(),
+            true,
+        );
+        let want_counts = want_output.into_edge_counts().expect("cnc output");
+        let want_work = want_work.expect("metered runs report work");
         // Observed run: counters must equal the meter totals, counts must be
         // untouched by the instrumentation.
         let ctx = std::sync::Arc::new(ObsContext::new());

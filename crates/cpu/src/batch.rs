@@ -10,13 +10,15 @@
 //! * [`run_pairs`] is the sequential loop — the pair-list analogue of
 //!   [`run_range`](crate::run_range): walk a source-grouped pair list,
 //!   rebuild kernel state only when the source changes;
-//! * [`pair_task_ranges`] cuts the list into cost-balanced tasks whose
-//!   boundaries always land between source groups (the same pricing the
-//!   balanced edge-range schedule uses, applied to the batch);
-//! * [`BatchCounter`] owns the kernel dispatch **and the kernel pool**, so
-//!   consecutive batches reuse the same `|V|`-bit bitmaps instead of
-//!   reallocating them per batch — at steady state the pool holds one
-//!   kernel per worker, however many batches have been served.
+//! * [`pair_schedule`] cuts the list into cost-balanced tasks whose
+//!   boundaries always land between source groups, through the same cut
+//!   routine and pricing as the balanced edge-range schedule;
+//! * [`BatchCounter`] owns a [`KernelPool`], so consecutive batches reuse
+//!   the same `|V|`-bit bitmaps instead of reallocating them per batch — at
+//!   steady state the pool holds one kernel per worker, however many
+//!   batches have been served. Its tasks run through the same
+//!   [`fan_out`] as every edge-range execution, so batches report the same
+//!   spans and schedule counters.
 //!
 //! Pairs are counted as given: `count(u, v) = |N(u) ∩ N(v)|` with `u` as
 //! the kernel's source vertex. Callers wanting the edge-range driver's cost
@@ -26,13 +28,13 @@
 use std::ops::Range;
 
 use cnc_graph::CsrGraph;
-use cnc_intersect::{
-    BmpKernel, CostModel, MergeKernel, Meter, MpsKernel, NullMeter, PairKernel, RfKernel,
-};
-use rayon::prelude::*;
+use cnc_intersect::{CostModel, Meter, PairKernel};
 
-use crate::driver::{BmpMode, CloneFactory, CpuKernel, KernelFactory, RangeTally};
-use crate::pool::{BitmapPool, PoolStats};
+use crate::driver::{
+    fan_out, with_factory, CpuKernel, KernelFactory, KernelPool, RangeTally, TaskBody,
+};
+use crate::pool::PoolStats;
+use crate::schedule::{balanced_cuts, Schedule};
 
 /// Count every `(u, v)` pair of a source-grouped list, amortizing
 /// per-source kernel state across each group exactly like the edge-range
@@ -41,7 +43,7 @@ use crate::pool::{BitmapPool, PoolStats};
 ///
 /// # Panics
 /// If `out.len() != pairs.len()` (debug builds).
-pub fn run_pairs<K: PairKernel, M: Meter>(
+fn run_pairs<K: PairKernel, M: Meter>(
     g: &CsrGraph,
     pairs: &[(u32, u32)],
     kernel: &mut K,
@@ -77,17 +79,8 @@ pub fn run_pairs<K: PairKernel, M: Meter>(
 /// every group start, and cut points snap forward to the next group
 /// boundary — so no task ever re-pays `begin_source` for a source another
 /// task already indexed. Degenerate (empty) tasks are merged away.
-pub fn pair_task_ranges(
-    g: &CsrGraph,
-    pairs: &[(u32, u32)],
-    model: &CostModel,
-    want: usize,
-) -> Vec<Range<usize>> {
+fn pair_schedule(g: &CsrGraph, pairs: &[(u32, u32)], model: &CostModel, want: usize) -> Schedule {
     let n = pairs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let want = want.max(1);
     let mut prefix = Vec::with_capacity(n + 1);
     prefix.push(0u64);
     for (i, &(u, v)) in pairs.iter().enumerate() {
@@ -97,50 +90,59 @@ pub fn pair_task_ranges(
         }
         prefix.push(prefix[i].saturating_add(cost));
     }
-    let total = prefix[n];
-    let mut bounds: Vec<usize> = vec![0];
-    for k in 1..want {
-        let target = ((total as u128 * k as u128) / want as u128) as u64;
-        let mut cut = prefix.partition_point(|&c| c < target).min(n);
+    let tasks = balanced_cuts(&prefix, want, n, |mut cut| {
         while cut > 0 && cut < n && pairs[cut].0 == pairs[cut - 1].0 {
             cut += 1;
         }
-        if cut > *bounds.last().expect("bounds starts non-empty") && cut < n {
-            bounds.push(cut);
-        }
-    }
-    bounds.push(n);
-    bounds.windows(2).map(|w| w[0]..w[1]).collect()
+        cut
+    });
+    Schedule::priced(tasks, |i| prefix[i])
 }
 
-/// Which kernel pool a [`BatchCounter`] persists across batches.
-enum PoolVariant {
-    Merge(CloneFactory<MergeKernel>),
-    Mps(CloneFactory<MpsKernel>),
-    Bmp(BitmapPool<BmpKernel>),
-    Rf(BitmapPool<RfKernel>),
+/// Tasks over index ranges of a pair list: [`run_pairs`]. A task's
+/// counts are its accumulator; tasks tile the list in order and the
+/// reduction concatenates them in order, so the merged accumulator is one
+/// count per pair.
+struct PairWalk<'a> {
+    g: &'a CsrGraph,
+    pairs: &'a [(u32, u32)],
+}
+
+impl TaskBody for PairWalk<'_> {
+    type Acc = Vec<u32>;
+
+    fn new_acc(&self) -> Self::Acc {
+        Vec::new()
+    }
+
+    fn merge(&self, into: &mut Self::Acc, from: Self::Acc) {
+        into.extend(from);
+    }
+
+    fn run<K: PairKernel, M: Meter>(
+        &self,
+        range: Range<usize>,
+        acc: &mut Self::Acc,
+        kernel: &mut K,
+        meter: &mut M,
+    ) -> RangeTally {
+        *acc = vec![0; range.len()];
+        run_pairs(self.g, &self.pairs[range], kernel, meter, acc)
+    }
 }
 
 /// A resident batch executor: one kernel dispatch plus one long-lived
 /// kernel pool, shared by every batch it counts.
 ///
-/// The edge-range driver builds its [`BitmapPool`] per call — fine for one
-/// bulk pass, wasteful for a server answering thousands of small batches.
-/// A `BatchCounter` is built once per (graph, plan) and reused: bitmaps are
-/// allocated the first time a worker needs one and then recycled, so
-/// [`pool_stats`](BatchCounter::pool_stats) stays bounded by the worker
-/// count however many batches run.
+/// An edge-range execution builds its kernel pool per call — fine for
+/// one bulk pass, wasteful for a server answering thousands of small
+/// batches. A `BatchCounter` is built once per (graph, plan) and reused:
+/// bitmaps are allocated the first time a worker needs one and then
+/// recycled, so [`pool_stats`](BatchCounter::pool_stats) stays bounded by
+/// the worker count however many batches run.
 pub struct BatchCounter {
     kernel: CpuKernel,
-    pool: PoolVariant,
-}
-
-impl std::fmt::Debug for BatchCounter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchCounter")
-            .field("kernel", &self.kernel)
-            .finish()
-    }
+    pool: KernelPool,
 }
 
 impl BatchCounter {
@@ -149,96 +151,38 @@ impl BatchCounter {
     /// # Panics
     /// On an invalid RF ratio — validate the kernel at plan time.
     pub fn new(kernel: CpuKernel, num_vertices: usize) -> Self {
-        let pool = match kernel {
-            CpuKernel::Merge => PoolVariant::Merge(CloneFactory(MergeKernel)),
-            CpuKernel::Mps(cfg) => PoolVariant::Mps(CloneFactory(MpsKernel::new(cfg))),
-            CpuKernel::Bmp(BmpMode::Plain) => {
-                PoolVariant::Bmp(BitmapPool::new(move || BmpKernel::new(num_vertices)))
-            }
-            CpuKernel::Bmp(BmpMode::RangeFiltered { ratio }) => {
-                PoolVariant::Rf(BitmapPool::new(move || {
-                    RfKernel::prevalidated(num_vertices.max(1), ratio)
-                }))
-            }
-        };
-        Self { kernel, pool }
-    }
-
-    /// The kernel this executor dispatches to.
-    pub fn kernel(&self) -> CpuKernel {
-        self.kernel
+        Self {
+            kernel,
+            pool: KernelPool::new(kernel, num_vertices),
+        }
     }
 
     /// Pool usage so far, for kernels with per-source state (`None` for
     /// the stateless merge family). `created` staying at the worker count
     /// across many batches is the reuse evidence.
     pub fn pool_stats(&self) -> Option<PoolStats> {
-        match &self.pool {
-            PoolVariant::Merge(_) | PoolVariant::Mps(_) => None,
-            PoolVariant::Bmp(p) => Some(p.stats()),
-            PoolVariant::Rf(p) => Some(p.stats()),
-        }
+        with_factory!(&self.pool, |f| KernelFactory::stats(f))
     }
 
     /// Count one source-grouped batch of pairs, decomposed into at most
-    /// `tasks` cost-balanced source-aligned tasks run in parallel. Returns
-    /// one count per pair, in order; the reduced tally is recorded into the
-    /// ambient observability context, if any.
+    /// `tasks` cost-balanced source-aligned tasks run in parallel on the
+    /// global pool. Returns one count per pair, in order; under an
+    /// installed observability context the batch records the same
+    /// `workload → kernel → task` spans and driver / schedule counters as
+    /// an edge-range execution.
     pub fn count_pairs(&self, g: &CsrGraph, pairs: &[(u32, u32)], tasks: usize) -> Vec<u32> {
-        if pairs.is_empty() {
-            return Vec::new();
-        }
-        let ranges = pair_task_ranges(g, pairs, &self.kernel.cost_model(), tasks);
-        let (out, tally) = match &self.pool {
-            PoolVariant::Merge(f) => run_tasks(g, pairs, &ranges, f),
-            PoolVariant::Mps(f) => run_tasks(g, pairs, &ranges, f),
-            PoolVariant::Bmp(p) => run_tasks(g, pairs, &ranges, p),
-            PoolVariant::Rf(p) => run_tasks(g, pairs, &ranges, p),
-        };
-        if let Some(ctx) = cnc_obs::ObsContext::current() {
-            use cnc_obs::Counter as C;
-            ctx.add(C::DriverTasks, ranges.len() as u64);
-            ctx.add(C::KernelSourceRebuilds, tally.rebuilds);
-            ctx.add(C::WorkloadEdgesVisited, tally.visited);
-        }
-        out
+        let schedule = pair_schedule(g, pairs, &self.kernel.cost_model(), tasks);
+        let body = PairWalk { g, pairs };
+        with_factory!(&self.pool, |f| fan_out(f, &body, &schedule, None, false)).0
     }
-}
-
-/// Run every task range of a batch in parallel, borrowing one kernel per
-/// task from `factory`, and stitch the per-task outputs back into pair
-/// order.
-fn run_tasks<F: KernelFactory>(
-    g: &CsrGraph,
-    pairs: &[(u32, u32)],
-    ranges: &[Range<usize>],
-    factory: &F,
-) -> (Vec<u32>, RangeTally) {
-    let parts: Vec<(usize, Vec<u32>, RangeTally)> = (0..ranges.len())
-        .into_par_iter()
-        .map(|k| {
-            let r = ranges[k].clone();
-            let mut kernel = factory.acquire();
-            let mut out = vec![0u32; r.len()];
-            let tally = run_pairs(g, &pairs[r.clone()], &mut kernel, &mut NullMeter, &mut out);
-            factory.release(kernel);
-            (r.start, out, tally)
-        })
-        .collect();
-    let mut out = vec![0u32; pairs.len()];
-    let mut tally = RangeTally::default();
-    for (start, part, t) in parts {
-        out[start..start + part.len()].copy_from_slice(&part);
-        tally.accumulate(&t);
-    }
-    (out, tally)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BmpMode;
     use cnc_graph::generators;
-    use cnc_intersect::MpsConfig;
+    use cnc_intersect::{BmpKernel, MpsConfig, NullMeter};
     use rand::{Rng, SeedableRng, StdRng};
 
     fn test_graph() -> CsrGraph {
@@ -279,6 +223,7 @@ mod tests {
                     "{kernel:?} tasks={tasks}"
                 );
             }
+            assert!(counter.count_pairs(&g, &[], 4).is_empty());
         }
     }
 
@@ -309,9 +254,10 @@ mod tests {
         let pairs = all_pairs(&g);
         for want in [1usize, 2, 7, 16, 10_000] {
             for model in [CostModel::Merge, CostModel::Bmp] {
-                let ranges = pair_task_ranges(&g, &pairs, &model, want);
+                let schedule = pair_schedule(&g, &pairs, &model, want);
+                let ranges = schedule.tasks();
                 let mut next = 0;
-                for r in &ranges {
+                for r in ranges {
                     assert_eq!(r.start, next);
                     assert!(r.end > r.start, "no empty tasks");
                     // Interior cuts never split a source group.
@@ -330,7 +276,6 @@ mod tests {
                 assert!(ranges.len() <= want);
             }
         }
-        assert!(pair_task_ranges(&g, &[], &CostModel::Merge, 8).is_empty());
     }
 
     #[test]

@@ -11,19 +11,25 @@
 //! * for BMP, the bitmap index of the current source's neighbor list,
 //!   rebuilt only when the source changes.
 //!
-//! That skeleton is written exactly once — [`run_range`], wrapped by the
-//! generic [`EdgeRangeDriver`] — and instantiated per algorithm through the
-//! `PairKernel` strategies of `cnc-intersect`. [`CpuKernel`] is the
-//! platform-side dispatch; the named drivers are thin wrappers over it,
-//! provided in sequential and parallel forms:
+//! That skeleton is written exactly once — [`run_range`] — and instantiated
+//! per algorithm through the `PairKernel` strategies of `cnc-intersect`.
+//! [`CpuKernel`] is the platform-side dispatch, and
+//! [`CpuKernel::execute`] the one call that runs a workload over a whole
+//! graph; its [`ParConfig`] picks the schedule and the worker count, and
+//! [`ParConfig::sequential`] makes it a single task run inline:
 //!
-//! | driver | paper name | kernel |
-//! |--------|------------|--------|
-//! | [`seq_merge_baseline`] / [`par_merge_baseline`] | **M** | plain merge |
-//! | [`seq_mps`] / [`par_mps`] | **MPS** | hybrid VB / pivot-skip |
-//! | [`seq_bmp`] / [`par_bmp`] | **BMP** (+**RF**) | dynamic bitmap index |
+//! | `CpuKernel` | paper name | kernel |
+//! |-------------|------------|--------|
+//! | `Merge` | **M** | plain merge |
+//! | `Mps(cfg)` | **MPS** | hybrid VB / pivot-skip |
+//! | `Bmp(mode)` | **BMP** (+**RF**) | dynamic bitmap index |
 //!
-//! All drivers return one `u32` count per *directed* edge slot of the CSR
+//! Besides `execute`, three calls reach the loop: [`run_range`] itself,
+//! [`CpuKernel::run_range_workload`] (one range with caller-owned state,
+//! for shard workers) and [`BatchCounter::count_pairs`] (source-grouped
+//! point-query batches, for the serve layer).
+//!
+//! CNC returns one `u32` count per *directed* edge slot of the CSR
 //! (`cnt[e(u,v)]` for every `(u,v)`), with the symmetric assignment
 //! technique applied: only `u < v` pairs are intersected and the result is
 //! mirrored to `e(v,u)`.
@@ -34,30 +40,23 @@
 
 mod batch;
 mod driver;
-mod par;
-mod par_metered;
 mod pool;
 mod schedule;
-mod seq;
 
-pub use batch::{pair_task_ranges, run_pairs, BatchCounter};
-pub use driver::{
-    run_range, BmpMode, CloneFactory, CpuKernel, EdgeRangeDriver, KernelFactory, RangeTally,
-};
-pub use par::{par_bmp, par_merge_baseline, par_mps, ParConfig};
-pub use par_metered::{par_bmp_metered, par_mps_metered};
+pub use batch::BatchCounter;
+pub use driver::{run_range, BmpMode, CpuKernel, RangeTally};
 pub use pool::{BitmapPool, PoolStats};
-// The scatter target moved to `cnc-workload` (it is the CNC workload's
-// shared state); re-exported here for source compatibility.
-pub use cnc_workload::ScatterVec;
-pub use schedule::{cut_source_blocks, RangeBlock, Schedule, SchedulePolicy, DEFAULT_TASK_SIZE};
-pub use seq::{seq_bmp, seq_merge_baseline, seq_mps};
+pub use schedule::{
+    cut_source_blocks, ParConfig, RangeBlock, Schedule, SchedulePolicy, DEFAULT_TASK_SIZE,
+};
+// The workload descriptor and output of `CpuKernel::execute`'s signature.
+pub use cnc_workload::{WorkloadKind, WorkloadOutput};
 
 /// Run a closure on a dedicated rayon pool with `threads` workers.
 ///
-/// Used by benchmarks and the thread-scaling experiments; `None` uses the
+/// Used by the task fan-out for `ParConfig::threads`; `None` uses the
 /// global pool.
-pub fn with_threads<R: Send>(threads: Option<usize>, f: impl FnOnce() -> R + Send) -> R {
+pub(crate) fn with_threads<R: Send>(threads: Option<usize>, f: impl FnOnce() -> R + Send) -> R {
     match threads {
         None => f(),
         Some(t) => rayon::ThreadPoolBuilder::new()

@@ -73,6 +73,43 @@ impl SchedulePolicy {
     }
 }
 
+/// Execution parameters for the Algorithm 3 skeleton.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ParConfig {
+    /// How the edge range is decomposed into tasks. The uniform policy is
+    /// the Section 4 trade-off (large tasks amortize scheduling, small
+    /// tasks balance load); the balanced policy prices sources with the
+    /// kernel's cost model and cuts on source boundaries.
+    pub schedule: SchedulePolicy,
+    /// Worker threads; `None` uses the ambient rayon pool.
+    pub threads: Option<usize>,
+}
+
+impl ParConfig {
+    /// Uniform chunks with an explicit task size (clamped to ≥ 1).
+    pub fn with_task_size(task_size: usize) -> Self {
+        Self {
+            schedule: SchedulePolicy::uniform(task_size),
+            threads: None,
+        }
+    }
+
+    /// Cost-balanced, source-aligned decomposition into at most `tasks`
+    /// tasks (clamped to ≥ 1).
+    pub fn balanced(tasks: usize) -> Self {
+        Self {
+            schedule: SchedulePolicy::balanced(tasks),
+            threads: None,
+        }
+    }
+
+    /// The sequential run: the whole edge range as one task, which the
+    /// rayon pool executes inline on the calling thread.
+    pub fn sequential() -> Self {
+        Self::with_task_size(usize::MAX)
+    }
+}
+
 /// A concrete decomposition of `0..m` into contiguous tasks, plus the cost
 /// model's estimate of the heaviest and lightest task (for observability;
 /// zero when estimates were not requested).
@@ -101,13 +138,6 @@ impl Schedule {
         with_estimates: bool,
     ) -> Self {
         let m = g.num_directed_edges();
-        if m == 0 {
-            return Schedule {
-                tasks: Vec::new(),
-                est_cost_max: 0,
-                est_cost_min: 0,
-            };
-        }
         match policy {
             SchedulePolicy::Uniform { task_size } => {
                 let t = task_size.max(1);
@@ -120,30 +150,32 @@ impl Schedule {
                         start..start.saturating_add(t).min(m)
                     })
                     .collect();
-                let (est_cost_max, est_cost_min) = if with_estimates {
-                    let prefix = source_cost_prefix(g, model, workload);
-                    estimate_spread(g, &prefix, &tasks)
-                } else {
-                    (0, 0)
-                };
-                Schedule {
-                    tasks,
-                    est_cost_max,
-                    est_cost_min,
-                }
+                let prefix = with_estimates.then(|| source_cost_prefix(g, model, workload));
+                Schedule::priced(tasks, |e| {
+                    prefix.as_ref().map_or(0, |p| prefix_at_edge(g, p, e))
+                })
             }
             SchedulePolicy::Balanced { tasks: want } => {
-                let want = want.max(1);
                 let prefix = source_cost_prefix(g, model, workload);
-                let bounds = balanced_bounds(g, &prefix, want);
-                let tasks: Vec<Range<usize>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
-                let (est_cost_max, est_cost_min) = estimate_spread(g, &prefix, &tasks);
-                Schedule {
-                    tasks,
-                    est_cost_max,
-                    est_cost_min,
-                }
+                let offsets = g.offsets();
+                Schedule::priced(balanced_cuts(&prefix, want, m, |s| offsets[s]), |e| {
+                    prefix_at_edge(g, &prefix, e)
+                })
             }
+        }
+    }
+
+    /// A schedule of `tasks` whose estimates are read off `cost_at`, the
+    /// estimated cost of everything before a cut point.
+    pub(crate) fn priced(tasks: Vec<Range<usize>>, cost_at: impl Fn(usize) -> u64) -> Self {
+        let costs: Vec<u64> = tasks
+            .iter()
+            .map(|r| cost_at(r.end) - cost_at(r.start))
+            .collect();
+        Schedule {
+            est_cost_max: costs.iter().copied().max().unwrap_or(0),
+            est_cost_min: costs.iter().copied().min().unwrap_or(0),
+            tasks,
         }
     }
 
@@ -186,44 +218,53 @@ pub fn cut_source_blocks<W: Workload>(
     workload: &W,
     blocks: usize,
 ) -> Vec<RangeBlock> {
-    if g.num_directed_edges() == 0 {
-        return Vec::new();
-    }
+    let m = g.num_directed_edges();
     let prefix = source_cost_prefix(g, model, workload);
-    let bounds = balanced_bounds(g, &prefix, blocks.max(1));
-    bounds
-        .windows(2)
-        .map(|w| RangeBlock {
-            range: w[0]..w[1],
-            est_cost: prefix_at_edge(g, &prefix, w[1]) - prefix_at_edge(g, &prefix, w[0]),
+    let offsets = g.offsets();
+    balanced_cuts(&prefix, blocks, m, |s| offsets[s])
+        .into_iter()
+        .map(|range| RangeBlock {
+            est_cost: prefix_at_edge(g, &prefix, range.end)
+                - prefix_at_edge(g, &prefix, range.start),
+            range,
         })
         .collect()
 }
 
-/// Source-aligned cut points for a cost-balanced decomposition into at
-/// most `want` pieces: `bounds[0] = 0`, `bounds.last() = m`, interior
-/// bounds snap the ideal `k/want`-of-total cost points to the first
-/// source boundary at or past them, dropping degenerate (empty) cuts.
-/// Shared by [`SchedulePolicy::Balanced`] and [`cut_source_blocks`] so
-/// thread tasks and process shards agree byte-for-byte.
-fn balanced_bounds(g: &CsrGraph, prefix: &[u64], want: usize) -> Vec<usize> {
-    let m = g.num_directed_edges();
-    let n = g.num_vertices();
-    let total = prefix[n];
-    let offsets = g.offsets();
+/// **The** cost-balanced cut routine: contiguous ranges tiling `0..len`
+/// in at most `want` (clamped to ≥ 1) pieces of near-equal cost.
+///
+/// `prefix` is a monotone cost prefix over units (`prefix[u]` is the cost
+/// of units `0..u`). Each ideal `k/want`-of-total point picks the first
+/// unit reaching it, and `snap` maps that unit to the first item offset a
+/// cut may land on: a source's first edge, or the next source group of a
+/// pair list. Degenerate (empty) pieces are dropped, so an empty `0..len`
+/// yields no ranges at all. Shared by [`SchedulePolicy::Balanced`],
+/// [`cut_source_blocks`] and the batch pair schedule, so thread tasks and
+/// process shards agree byte-for-byte.
+pub(crate) fn balanced_cuts(
+    prefix: &[u64],
+    want: usize,
+    len: usize,
+    snap: impl Fn(usize) -> usize,
+) -> Vec<Range<usize>> {
+    let want = want.max(1);
+    let units = prefix.len() - 1;
+    let total = prefix[units];
     let mut bounds: Vec<usize> = vec![0];
     for k in 1..want {
-        // Ideal cut at cost k/want of the total; snap to the first
-        // source boundary at or past it.
         let target = ((total as u128 * k as u128) / want as u128) as u64;
-        let s = prefix.partition_point(|&c| c < target).min(n);
-        let cut = offsets[s];
-        if cut > *bounds.last().expect("bounds starts non-empty") && cut < m {
+        let cut = snap(prefix.partition_point(|&c| c < target).min(units));
+        if cut > *bounds.last().expect("bounds starts non-empty") && cut < len {
             bounds.push(cut);
         }
     }
-    bounds.push(m);
+    bounds.push(len);
     bounds
+        .windows(2)
+        .map(|w| w[0]..w[1])
+        .filter(|r| !r.is_empty())
+        .collect()
 }
 
 /// Per-source cost prefix sums: `prefix[u]` is the estimated cost of the
@@ -270,22 +311,6 @@ fn prefix_at_edge(g: &CsrGraph, prefix: &[u64], e: usize) -> u64 {
     let (o0, o1) = (offsets[u], offsets[u + 1]);
     let within = prefix[u + 1] - prefix[u];
     prefix[u] + within.saturating_mul((e - o0) as u64) / (o1 - o0) as u64
-}
-
-/// (max, min) estimated task cost over `tasks` under the given prefix.
-fn estimate_spread(g: &CsrGraph, prefix: &[u64], tasks: &[Range<usize>]) -> (u64, u64) {
-    let mut max = 0u64;
-    let mut min = u64::MAX;
-    for r in tasks {
-        let cost = prefix_at_edge(g, prefix, r.end) - prefix_at_edge(g, prefix, r.start);
-        max = max.max(cost);
-        min = min.min(cost);
-    }
-    if tasks.is_empty() {
-        (0, 0)
-    } else {
-        (max, min)
-    }
 }
 
 #[cfg(test)]

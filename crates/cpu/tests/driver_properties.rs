@@ -1,16 +1,27 @@
-//! Property-based tests for the unified edge-range driver: the task
-//! decomposition and the meter choice must never change the answer.
+//! Property-based tests for `CpuKernel::execute`: the task decomposition
+//! and the meter choice must never change the answer.
 //!
 //! For any random graph, any task size (including degenerate ones: a task
 //! per edge, or one task far larger than `|E|`), and every kernel, the
-//! parallel driver with a [`NullMeter`] and the metered parallel driver
-//! with a [`CountingMeter`] must both produce counts byte-identical to the
-//! sequential whole-range run.
+//! unmetered run and the metered run (per-task `CountingMeter`s) must both
+//! produce counts byte-identical to the sequential whole-range run.
 
 use cnc_cpu::{BmpMode, CpuKernel, ParConfig, Schedule, SchedulePolicy};
 use cnc_graph::{generators, CsrGraph};
-use cnc_intersect::{MpsConfig, NullMeter};
+use cnc_intersect::MpsConfig;
+use cnc_workload::WorkloadKind;
 use proptest::prelude::*;
+
+/// CNC counts of `kernel` on `g` under `cfg`, and the work when `metered`.
+fn cnc(
+    kernel: CpuKernel,
+    g: &CsrGraph,
+    cfg: &ParConfig,
+    metered: bool,
+) -> (Vec<u32>, Option<cnc_intersect::WorkCounts>) {
+    let (out, work) = kernel.execute(g, WorkloadKind::Cnc, cfg, metered);
+    (out.into_edge_counts().expect("cnc output"), work)
+}
 
 fn kernels(num_vertices: usize) -> Vec<CpuKernel> {
     vec![
@@ -51,9 +62,10 @@ proptest! {
         let g = CsrGraph::from_edge_list(&generators::gnm(n, n * edge_factor, seed));
         let cfg = ParConfig { schedule: p, threads: None };
         for kernel in kernels(g.num_vertices()) {
-            let seq = kernel.run_seq(&g, &mut NullMeter);
-            let par = kernel.run_par(&g, &cfg);
-            let (metered, work) = kernel.run_par_metered(&g, &cfg);
+            let (seq, _) = cnc(kernel, &g, &ParConfig::sequential(), false);
+            let (par, _) = cnc(kernel, &g, &cfg, false);
+            let (metered, work) = cnc(kernel, &g, &cfg, true);
+            let work = work.expect("metered runs report work");
             prop_assert_eq!(&par, &seq, "NullMeter par diverged: {:?} {:?}", kernel, p);
             prop_assert_eq!(&metered, &seq, "CountingMeter par diverged: {:?} {:?}", kernel, p);
             // Any split of the range does the same intersections.
@@ -72,9 +84,9 @@ proptest! {
         let g = CsrGraph::from_edge_list(&generators::hub_web(80, 4.0, hubs, 0.5, seed));
         let cfg = ParConfig { schedule: p, threads: None };
         for kernel in kernels(g.num_vertices()) {
-            let seq = kernel.run_seq(&g, &mut NullMeter);
-            let (metered, _) = kernel.run_par_metered(&g, &cfg);
-            prop_assert_eq!(&kernel.run_par(&g, &cfg), &seq);
+            let (seq, _) = cnc(kernel, &g, &ParConfig::sequential(), false);
+            let (metered, _) = cnc(kernel, &g, &cfg, true);
+            prop_assert_eq!(&cnc(kernel, &g, &cfg, false).0, &seq);
             prop_assert_eq!(&metered, &seq);
         }
     }
@@ -118,7 +130,6 @@ proptest! {
 /// dynamic claiming spreads the head tasks across workers.
 #[test]
 fn workloads_are_thread_count_invariant_on_a_degree_descending_hub_graph() {
-    use cnc_workload::WorkloadKind;
     let raw = CsrGraph::from_edge_list(&generators::hub_web(1500, 8.0, 6, 0.3, 21));
     let g = cnc_graph::reorder::degree_descending(&raw).graph;
     let n = g.num_vertices();
@@ -133,7 +144,7 @@ fn workloads_are_thread_count_invariant_on_a_degree_descending_hub_graph() {
         CpuKernel::Bmp(BmpMode::rf_scaled(n)),
     ] {
         for kind in kinds {
-            let seq = kernel.run_seq_kind(&g, kind, &mut NullMeter);
+            let seq = kernel.execute(&g, kind, &ParConfig::sequential(), false);
             for schedule in policies {
                 for threads in [1, 2, 3, 8] {
                     let cfg = ParConfig {
@@ -141,7 +152,7 @@ fn workloads_are_thread_count_invariant_on_a_degree_descending_hub_graph() {
                         threads: Some(threads),
                     };
                     assert_eq!(
-                        kernel.run_par_kind(&g, &cfg, kind),
+                        kernel.execute(&g, kind, &cfg, false),
                         seq,
                         "{kernel:?} {kind:?} {schedule:?} threads={threads}"
                     );

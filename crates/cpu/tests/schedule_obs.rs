@@ -9,12 +9,13 @@ use cnc_cpu::{BmpMode, CpuKernel, ParConfig};
 use cnc_graph::generators;
 use cnc_graph::CsrGraph;
 use cnc_obs::{Counter, ObsContext};
+use cnc_workload::WorkloadKind;
 
 /// Run `kernel` under an installed context and return its counter snapshot.
 fn observed_run(g: &CsrGraph, kernel: CpuKernel, cfg: &ParConfig) -> cnc_obs::CounterSnapshot {
     let ctx = Arc::new(ObsContext::new());
     let guard = ctx.install();
-    let _ = kernel.run_par(g, cfg);
+    let _ = kernel.execute(g, WorkloadKind::Cnc, cfg, false);
     drop(guard);
     ctx.counters()
 }
@@ -78,4 +79,45 @@ fn balanced_flattens_observed_cost_spread() {
         balanced.get(Counter::ScheduleEstCostMax) <= uniform.get(Counter::ScheduleEstCostMax),
         "balanced straggler estimate must not exceed uniform's"
     );
+}
+
+#[test]
+fn sequential_runs_are_observed_like_parallel_ones() {
+    // A sequential run is one task through the same fan-out: it reports
+    // the schedule and driver counters and the workload → kernel → task
+    // span tree, exactly like a parallel run.
+    let g = CsrGraph::from_edge_list(&generators::hub_web(300, 5.0, 2, 0.5, 3));
+    let ctx = Arc::new(ObsContext::new());
+    let guard = ctx.install();
+    let (_, work) = CpuKernel::Bmp(BmpMode::Plain).execute(
+        &g,
+        WorkloadKind::Cnc,
+        &ParConfig::sequential(),
+        true,
+    );
+    drop(guard);
+    let snap = ctx.counters();
+    assert_eq!(snap.get(Counter::DriverTasks), 1);
+    assert_eq!(snap.get(Counter::ScheduleTasks), 1);
+    assert!(snap.get(Counter::ScheduleEstCostMin) > 0);
+    assert!(snap.get(Counter::KernelSourceRebuilds) > 0);
+    let work = work.expect("metered");
+    assert_eq!(snap.get(Counter::KernelIntersections), work.intersections);
+    let roots = ctx.recorder().tree();
+    let workload = roots
+        .iter()
+        .find(|s| s.name == "workload")
+        .expect("workload span");
+    let kernel = workload
+        .children
+        .iter()
+        .find(|s| s.name == "kernel")
+        .expect("kernel span");
+    let tasks: Vec<_> = kernel
+        .children
+        .iter()
+        .filter(|s| s.name == "task")
+        .collect();
+    assert_eq!(tasks.len(), 1);
+    assert_eq!(tasks[0].items, g.num_directed_edges() as u64);
 }

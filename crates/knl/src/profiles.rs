@@ -1,8 +1,8 @@
 //! Exact work profiles of the counting algorithms on a concrete graph.
 
-use cnc_cpu::{BmpMode, CpuKernel};
+use cnc_cpu::{BmpMode, CpuKernel, ParConfig, WorkloadKind};
 use cnc_graph::{CsrGraph, PreparedGraph};
-use cnc_intersect::{Bitmap, CountingMeter, MpsConfig, RfBitmap, WorkCounts};
+use cnc_intersect::{Bitmap, MpsConfig, RfBitmap, WorkCounts};
 use cnc_machine::WorkProfile;
 
 use crate::runner::ModeledAlgo;
@@ -64,21 +64,18 @@ pub fn cpu_kernel_of(algo: &ModeledAlgo) -> CpuKernel {
 /// Execute `algo` on `g` (sequentially, fully instrumented) and return the
 /// exact counts plus the raw work tallies.
 ///
-/// This routes through `cnc_cpu::CpuKernel::run_seq` — the same
-/// `EdgeRangeDriver` loop as every real-CPU driver — with a
-/// [`CountingMeter`], so profiles are deterministic and exactly match the
-/// work of a single-task run.
+/// This routes through `cnc_cpu::CpuKernel::execute` on the one-task
+/// [`ParConfig::sequential`] schedule — the same edge-range loop as every
+/// real-CPU run — metered, so profiles are deterministic and exactly match
+/// the work of one whole-range `run_range` call. Under an installed
+/// observability context the driver also records the tallies, so
+/// `--metrics` reports agree with the profile.
 pub fn counts_and_work_of(g: &CsrGraph, algo: &ModeledAlgo) -> (Vec<u32>, WorkCounts) {
-    let mut meter = CountingMeter::new();
-    let counts = cnc_obs::ObsContext::scoped("modeled_count", || {
-        cpu_kernel_of(algo).run_seq(g, &mut meter)
+    let (output, work) = cnc_obs::ObsContext::scoped("modeled_count", || {
+        cpu_kernel_of(algo).execute(g, WorkloadKind::Cnc, &ParConfig::sequential(), true)
     });
-    // Modeled runs always meter; mirror the tallies into the ambient
-    // observability context so `--metrics` reports agree with the profile.
-    if let Some(ctx) = cnc_obs::ObsContext::current() {
-        meter.counts.record_to(&*ctx);
-    }
-    (counts, meter.counts)
+    let counts = output.into_edge_counts().expect("CNC yields edge counts");
+    (counts, work.expect("metered runs report work"))
 }
 
 /// Turn raw work tallies of `algo` on `g` into the machine model's input.

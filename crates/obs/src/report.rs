@@ -33,7 +33,7 @@ pub const SCHEMA_VERSION: u32 = 1;
 
 /// Immutable observability snapshot for one run.
 ///
-/// Every `CncResult` carries one. When the run executed without an installed
+/// Every `RunOutput` carries one. When the run executed without an installed
 /// [`ObsContext`] the report is [`disabled`](RunReport::disabled): empty and
 /// flagged `enabled: false`, so downstream consumers can tell "nothing
 /// happened" from "nothing was measured".

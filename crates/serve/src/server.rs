@@ -28,9 +28,12 @@
 //! they read cached whole-pass state and never enter the point-query queue.
 //!
 //! Observability: the batcher installs the server's [`ObsContext`] and
-//! nests `serve → batch → execute` spans (`execute` comes from
-//! [`BatchSession::count_batch`]); `serve.*` counters record admissions,
-//! batches, coalesced requests and the deepest queue occupancy.
+//! nests `serve → batch → execute → workload → kernel → task` spans
+//! (`execute` and below come from [`BatchSession::count_batch`]); `serve.*`
+//! counters record admissions, batches, coalesced requests and the deepest
+//! queue occupancy. The span tree grows with every batch, so once a long
+//! session's tree no longer fits one reply frame the `stats` reply leaves
+//! the spans out (counting them in `spans_dropped`) and keeps the counters.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -44,11 +47,11 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use cnc_core::BatchSession;
-use cnc_obs::{Counter, MetricsFile, ObsContext, RunReport};
+use cnc_obs::{Counter, MetricsFile, ObsContext, RunReport, SpanNode};
 
 use crate::protocol::{
     decode_request, encode_reply, read_frame, write_frame, FrameRead, Refusal, Reply, Request,
-    MAX_REPLY_EDGES,
+    MAX_FRAME, MAX_REPLY_EDGES,
 };
 use crate::ServeError;
 
@@ -154,12 +157,34 @@ impl Shared {
     /// The cnc-metrics v1 envelope for this server (the `stats` reply and
     /// the `--metrics` file share this).
     fn metrics_json(&self) -> String {
+        self.envelope(&self.report())
+    }
+
+    /// The `stats` reply: [`metrics_json`](Self::metrics_json), or — when
+    /// the span tree has outgrown one reply frame — the same document with
+    /// the spans left out and counted in `spans_dropped`.
+    fn stats_json(&self) -> String {
+        let json = self.metrics_json();
+        // The reply frame also carries one status byte.
+        if json.len() < MAX_FRAME {
+            return json;
+        }
+        fn count(spans: &[SpanNode]) -> u64 {
+            spans.iter().map(|s| 1 + count(&s.children)).sum()
+        }
+        let mut report = self.report();
+        report.spans_dropped += count(&report.spans);
+        report.spans.clear();
+        self.envelope(&report)
+    }
+
+    fn envelope(&self, report: &RunReport) -> String {
         let mut f = MetricsFile::new();
         f.begin_run();
         f.field_str("graph", &self.cfg.graph_label);
         f.field_str("platform", "serve");
         f.field_str("algorithm", self.session.plan().algorithm.label());
-        f.end_run(&self.report());
+        f.end_run(report);
         f.finish()
     }
 }
@@ -323,7 +348,7 @@ fn answer(shared: &Arc<Shared>, req: Request) -> Reply {
                 edges,
             }
         }
-        Request::Stats => Reply::Stats(shared.metrics_json()),
+        Request::Stats => Reply::Stats(shared.stats_json()),
         Request::Shutdown => {
             shared.shutdown.store(true, Ordering::Release);
             shared.queue_cv.notify_all();
@@ -521,5 +546,43 @@ mod tests {
         assert_eq!(client.count(0, 1).expect("count after poison"), Some(1));
         let report = handle.join();
         assert_eq!(report.counter(Counter::ServeRequests), 1);
+    }
+
+    /// A long session's span tree outgrows one reply frame; the `stats`
+    /// reply must still arrive, carrying the counters and the number of
+    /// spans it left out.
+    #[test]
+    fn stats_reply_fits_a_frame_after_a_long_session() {
+        let g = CsrGraph::from_undirected_pairs(3, [(0u32, 1), (0, 2), (1, 2)].into_iter());
+        let runner = Runner::new(Platform::cpu_parallel(), Algorithm::mps());
+        let pg = PreparedGraph::from_csr(g, runner.reorder_policy());
+        let session = BatchSession::new(runner, pg).expect("plannable session");
+        let handle = serve(
+            &Endpoint::Tcp("127.0.0.1:0".to_string()),
+            session,
+            ServeConfig::default(),
+        )
+        .expect("server starts");
+        let addr = handle.local_addr().expect("tcp address").to_string();
+        let mut client = Client::connect_tcp(&addr).expect("connect");
+        assert_eq!(client.count(0, 1).expect("count"), Some(1));
+        // Stand in for thousands of batches' spans.
+        let spans = 20_000;
+        for _ in 0..spans {
+            drop(handle.shared.obs.span("batch"));
+        }
+        assert!(handle.shared.metrics_json().len() > MAX_FRAME);
+        let stats = client.stats().expect("stats reply fits one frame");
+        assert!(stats.contains("\"serve.requests\":1"), "{stats}");
+        assert!(stats.contains("\"spans\":[]"));
+        let dropped: u64 = stats
+            .split("\"spans_dropped\":")
+            .nth(1)
+            .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+            .and_then(|n| n.parse().ok())
+            .expect("spans_dropped field");
+        assert!(dropped > spans, "{dropped} spans dropped");
+        handle.shutdown();
+        handle.join();
     }
 }

@@ -417,7 +417,7 @@ fn push_metrics_entry(
     file: &mut MetricsFile,
     dataset: &str,
     scale: &str,
-    result: &cnc_core::CncResult,
+    result: &cnc_core::RunOutput,
     report: &RunReport,
 ) {
     file.begin_run();
@@ -447,7 +447,7 @@ fn push_metrics_entry(
     file.end_run(report);
 }
 
-fn print_run_summary(label: &str, result: &cnc_core::CncResult) {
+fn print_run_summary(label: &str, result: &cnc_core::RunOutput) {
     eprintln!(
         "{label}: {} [{} {}] counted {} in {:.1} ms wall{}",
         result.stats.platform,

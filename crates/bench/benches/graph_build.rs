@@ -65,7 +65,7 @@ fn bench_io(c: &mut Criterion) {
 }
 
 /// Cold preparation (edge list → parallel CSR build → relabel) against a
-/// warm zero-copy load of the same preparation from its `CNCPREP2` cache
+/// warm zero-copy load of the same preparation from its `CNCPREP4` cache
 /// file. The warm path must win by a wide margin — that gap is the whole
 /// point of the mmap-backed cache.
 fn bench_prepare_cold_vs_warm(c: &mut Criterion) {

@@ -7,6 +7,8 @@
 //! `e(u,v) ∈ [offsets[u], offsets[u+1])`; the common-neighbor counts array is
 //! indexed by this offset.
 
+use std::convert::Infallible;
+
 use crate::edgelist::EdgeList;
 use crate::store::GraphStore;
 
@@ -44,7 +46,7 @@ impl CsrGraph {
     /// Build from a normalized-or-not edge list: symmetrizes, sorts and
     /// deduplicates per-vertex neighbor lists.
     pub fn from_edge_list(el: &EdgeList) -> Self {
-        Self::from_pair_slice(el.num_vertices, &el.edges)
+        Self::from_undirected_pairs(el.num_vertices, el.iter())
     }
 
     /// Build from raw undirected pairs over `n` vertices. Self-loops are
@@ -61,71 +63,16 @@ impl CsrGraph {
         b.finish()
     }
 
-    /// Counting-sort construction over an edge slice: pass 1 counts degrees,
-    /// pass 2 scatters. No staging copy of the input is made — peak memory
-    /// is the input slice plus the output CSR.
-    fn from_pair_slice(n: usize, pairs: &[(u32, u32)]) -> Self {
-        let mut deg = vec![0usize; n];
-        for &(u, v) in pairs {
-            if u == v {
-                continue;
-            }
-            assert!(
-                (u as usize) < n && (v as usize) < n,
-                "edge ({u},{v}) out of range for {n} vertices"
-            );
-            deg[u as usize] += 1;
-            deg[v as usize] += 1;
-        }
-        let mut offsets = vec![0usize; n + 1];
-        for u in 0..n {
-            offsets[u + 1] = offsets[u] + deg[u];
-        }
-        let mut dst = vec![0u32; offsets[n]];
-        let mut cursor = offsets[..n].to_vec();
-        for &(u, v) in pairs {
-            if u == v {
-                continue;
-            }
-            dst[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
-            dst[cursor[v as usize]] = u;
-            cursor[v as usize] += 1;
-        }
-        // Sort + dedup each run; rebuild offsets if duplicates were removed.
-        let mut any_dup = false;
-        for u in 0..n {
-            let run = &mut dst[offsets[u]..offsets[u + 1]];
-            run.sort_unstable();
-            if run.windows(2).any(|w| w[0] == w[1]) {
-                any_dup = true;
-            }
-        }
-        if any_dup {
-            let mut new_dst = Vec::with_capacity(dst.len());
-            let mut new_offsets = vec![0usize; n + 1];
-            for u in 0..n {
-                let run = &dst[offsets[u]..offsets[u + 1]];
-                let mut last = None;
-                for &x in run {
-                    if last != Some(x) {
-                        new_dst.push(x);
-                        last = Some(x);
-                    }
-                }
-                new_offsets[u + 1] = new_dst.len();
-            }
-            return Self {
-                offsets: new_offsets.into(),
-                dst: new_dst.into(),
-                rev: None,
-            };
-        }
-        Self {
+    /// Wrap arrays a builder in this crate produced: sorted, deduplicated,
+    /// symmetric runs. Checked only in debug builds.
+    pub(crate) fn from_built(offsets: Vec<usize>, dst: Vec<u32>) -> Self {
+        let g = Self {
             offsets: offsets.into(),
             dst: dst.into(),
             rev: None,
-        }
+        };
+        debug_assert_eq!(g.validate_structure(), Ok(()));
+        g
     }
 
     /// Parallel CSR construction for large edge lists: degree counting,
@@ -160,9 +107,7 @@ impl CsrGraph {
             deg[v as usize].fetch_add(1, Ordering::Relaxed);
         });
         let mut offsets = vec![0usize; n + 1];
-        for u in 0..n {
-            offsets[u + 1] = offsets[u] + deg[u].load(Ordering::Relaxed);
-        }
+        prefix_offsets(deg.iter().map(|d| d.load(Ordering::Relaxed)), &mut offsets);
         // Scatter with atomic cursors.
         let m = offsets[n];
         let cursor: Vec<AtomicUsize> = offsets[..n].iter().map(|&o| AtomicUsize::new(o)).collect();
@@ -187,14 +132,11 @@ impl CsrGraph {
             rest = tail;
         }
         runs.par_iter_mut().for_each(|run| run.sort_unstable());
-        Self {
-            offsets: offsets.into(),
-            dst: dst.into(),
-            rev: None,
-        }
+        Self::from_built(offsets, dst)
     }
 
     /// Build directly from parts. Panics if the parts are inconsistent.
+    #[allow(clippy::expect_used)] // documented panic; `try_from_parts` is the fallible twin
     pub fn from_parts(offsets: Vec<usize>, dst: Vec<u32>) -> Self {
         Self::try_from_parts(offsets, dst).expect("invalid CSR parts")
     }
@@ -228,9 +170,9 @@ impl CsrGraph {
     /// [`CsrGraph::validate_structure`] check.
     ///
     /// This is the constructor for *integrity-protected* inputs — mapped
-    /// `CNCPREP2` sections whose per-section checksums already verified the
-    /// bytes are exactly what [`crate::io::write_csr`]-style serialization of
-    /// a valid graph produced. The `O(|E| log d)` symmetry probes of the full
+    /// `CNCPREP4` sections whose per-section checksums already verified the
+    /// bytes are exactly what [`crate::prepare::write_prepared`] serialized
+    /// from a valid graph. The `O(|E| log d)` symmetry probes of the full
     /// validation are skipped so warm loads stay cheap.
     pub(crate) fn try_from_stores_structural(
         offsets: GraphStore<usize>,
@@ -322,6 +264,7 @@ impl CsrGraph {
     /// Panics if the reverse edge is absent, which would mean the CSR is not
     /// symmetric.
     #[inline]
+    #[allow(clippy::expect_used)] // documented panic on a non-symmetric CSR
     pub fn reverse_offset(&self, u: u32, eid: usize) -> usize {
         if let Some(rev) = &self.rev {
             return rev[eid];
@@ -343,26 +286,14 @@ impl CsrGraph {
         self.rev.as_deref()
     }
 
-    /// Build the reverse-edge index in `O(|V| + |E|)`, no searches.
-    ///
-    /// Walking sources in ascending order visits, for every vertex `v`, the
-    /// edges `(u, v)` in ascending `u` — exactly the order of `u` within the
-    /// sorted run `N(v)`. A per-vertex cursor starting at `offsets[v]`
-    /// therefore hands out each reverse slot exactly once:
-    /// `rev[e(u,v)] = cursor[v]++`. Idempotent; a no-op if already built.
+    /// Build the reverse-edge index in `O(|V| + |E|)` by a per-vertex cursor
+    /// walk, no searches. Idempotent; a no-op if already built.
     pub fn build_reverse_index(&mut self) {
         if self.rev.is_some() {
             return;
         }
-        let n = self.num_vertices();
         let mut rev = vec![0usize; self.dst.len()];
-        let mut cursor = self.offsets[..n].to_vec();
-        for (eid, &v) in self.dst.iter().enumerate() {
-            let v = v as usize;
-            rev[eid] = cursor[v];
-            cursor[v] += 1;
-        }
-        debug_assert!((0..n).all(|v| cursor[v] == self.offsets[v + 1]));
+        reverse_index_into(&self.offsets, &self.dst, &mut rev);
         self.rev = Some(rev.into());
     }
 
@@ -485,12 +416,9 @@ impl CsrGraph {
 /// input is walked exactly once and never staged in raw form.
 /// [`finish`](Self::finish) sorts the canonical pairs, merges parallel edges
 /// (correcting the affected degrees), and scatters both directions through
-/// per-vertex cursors. Because the canonical pairs are globally sorted at
-/// that point, every neighbor run comes out already ascending — no per-run
-/// sort and no duplicate-removal rebuild copy. The streaming preparation
-/// pipeline ([`crate::stream`]) uses the same two-pass scatter over
-/// externally sorted runs to write CSR sections directly into a mapped
-/// cache file.
+/// per-vertex cursors — the same scatter the streaming preparation pipeline
+/// ([`crate::stream`]) runs over externally sorted runs, straight into a
+/// mapped cache file.
 #[derive(Debug)]
 pub struct CsrBuilder {
     n: usize,
@@ -544,31 +472,65 @@ impl CsrBuilder {
             }
         });
         let mut offsets = vec![0usize; n + 1];
-        for u in 0..n {
-            offsets[u + 1] = offsets[u] + deg[u];
-        }
+        prefix_offsets(deg, &mut offsets);
         let mut dst = vec![0u32; offsets[n]];
-        let mut cursor = offsets[..n].to_vec();
-        for &(u, v) in &edges {
-            dst[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
-            dst[cursor[v as usize]] = u;
-            cursor[v as usize] += 1;
-        }
-        // Scattering globally sorted canonical edges leaves each run already
-        // ascending: for vertex w, the backward neighbors u < w arrive first
-        // (edges (u, w) sorted by u), then the forward neighbors (w, v) in v
-        // order, and every backward value is < w < every forward value.
-        debug_assert!((0..n).all(|u| {
-            dst[offsets[u]..offsets[u + 1]]
-                .windows(2)
-                .all(|w| w[0] < w[1])
-        }));
-        CsrGraph {
-            offsets: offsets.into(),
-            dst: dst.into(),
-            rev: None,
-        }
+        let Ok(()) = scatter_sorted_pairs(
+            &offsets,
+            &mut dst,
+            edges.into_iter().map(Ok::<_, Infallible>),
+        );
+        CsrGraph::from_built(offsets, dst)
+    }
+}
+
+/// Prefix-sum per-vertex degrees into CSR offsets (`offsets[0] = 0`,
+/// `offsets[u + 1] = offsets[u] + d_u`; `offsets` has length |V| + 1).
+pub(crate) fn prefix_offsets(degrees: impl IntoIterator<Item = usize>, offsets: &mut [usize]) {
+    let Some((first, rest)) = offsets.split_first_mut() else {
+        return;
+    };
+    *first = 0;
+    let mut acc = 0;
+    for (slot, d) in rest.iter_mut().zip(degrees) {
+        acc += d;
+        *slot = acc;
+    }
+}
+
+/// Place both directions of every pair through per-vertex cursors starting
+/// at `offsets`. The pairs must be canonical (`u < v`), globally sorted and
+/// deduplicated; each neighbor run then comes out already ascending: for
+/// vertex `w`, the backward neighbors `u < w` arrive first (pairs `(u, w)`
+/// sorted by `u`), then the forward neighbors `(w, v)` in `v` order, and
+/// every backward value is `< w <` every forward value. Stops at the first
+/// error the pair stream yields.
+pub(crate) fn scatter_sorted_pairs<E>(
+    offsets: &[usize],
+    dst: &mut [u32],
+    pairs: impl IntoIterator<Item = Result<(u32, u32), E>>,
+) -> Result<(), E> {
+    let mut cursor = offsets[..offsets.len().saturating_sub(1)].to_vec();
+    for pair in pairs {
+        let (u, v) = pair?;
+        dst[cursor[u as usize]] = v;
+        cursor[u as usize] += 1;
+        dst[cursor[v as usize]] = u;
+        cursor[v as usize] += 1;
+    }
+    Ok(())
+}
+
+/// The reverse-edge index `rev[e(u,v)] = e(v,u)` of a CSR, by cursor walk.
+///
+/// Walking sources in ascending order visits, for every vertex `v`, the
+/// edges `(u, v)` in ascending `u` — exactly the order of `u` within the
+/// sorted run `N(v)`. A per-vertex cursor starting at `offsets[v]` therefore
+/// hands out each reverse slot exactly once: `rev[e(u,v)] = cursor[v]++`.
+pub(crate) fn reverse_index_into(offsets: &[usize], dst: &[u32], rev: &mut [usize]) {
+    let mut cursor = offsets[..offsets.len().saturating_sub(1)].to_vec();
+    for (slot, &v) in rev.iter_mut().zip(dst) {
+        *slot = cursor[v as usize];
+        cursor[v as usize] += 1;
     }
 }
 
@@ -796,14 +758,17 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_slice_path_on_messy_input() {
+    fn builder_matches_parallel_path_on_messy_input() {
         use crate::generators;
         // Raw inputs with loops, duplicates and reversed orientations: the
-        // single-pass builder must agree exactly with the slice-based path.
+        // single-pass builder must agree exactly with the parallel path.
         let messy: Vec<(u32, u32)> = vec![(3, 1), (1, 3), (2, 2), (4, 0), (0, 1), (0, 1), (1, 0)];
+        let mut el = EdgeList::new(5);
+        for &(u, v) in &messy {
+            el.push(u, v);
+        }
         let a = CsrGraph::from_undirected_pairs(5, messy.iter().copied());
-        let b = CsrGraph::from_pair_slice(5, &messy);
-        assert_eq!(a, b);
+        assert_eq!(a, CsrGraph::from_edge_list_parallel(&el));
         a.validate().unwrap();
 
         for el in [
@@ -811,7 +776,7 @@ mod tests {
             generators::chung_lu(150, 9.0, 2.2, 8),
         ] {
             let a = CsrGraph::from_undirected_pairs(el.num_vertices, el.iter());
-            let b = CsrGraph::from_edge_list(&el);
+            let b = CsrGraph::from_edge_list_parallel(&el);
             assert_eq!(a, b);
         }
     }

@@ -154,18 +154,9 @@ impl Dataset {
 
     /// Generate and convert to CSR (through the parallel builder — the
     /// generators emit normalized lists, so the fan-out path applies
-    /// directly). When `CNC_PREP_MEM_BYTES` is set, the conversion instead
-    /// runs through the budgeted external-sort pipeline
-    /// ([`crate::stream::build_csr_bounded`]), which produces the identical
-    /// CSR while keeping the sort working set under the budget.
+    /// directly).
     pub fn build(self, scale: Scale) -> CsrGraph {
-        let el = self.edge_list(scale);
-        if let Some(cfg) = crate::stream::StreamConfig::budgeted_from_env() {
-            if let Ok(g) = crate::stream::build_csr_bounded(el.num_vertices, el.iter(), &cfg) {
-                return g;
-            }
-        }
-        CsrGraph::from_edge_list_parallel(&el)
+        CsrGraph::from_edge_list_parallel(&self.edge_list(scale))
     }
 
     /// The shared prepared form of this dataset: reorder, remap tables and

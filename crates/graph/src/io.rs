@@ -20,19 +20,30 @@ fn put_u32_le(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Pop a little-endian u64 off the front of `buf`. Panics if `buf` is short;
-/// all callers size their reads up front.
-fn get_u64_le(buf: &mut &[u8]) -> u64 {
-    let (head, tail) = buf.split_at(8);
-    *buf = tail;
-    u64::from_le_bytes(head.try_into().expect("split_at(8) yields 8 bytes"))
+/// Word `i` of a block of little-endian u64 words (panics only on an index
+/// past the block, which callers rule out with fixed-size headers).
+pub(crate) fn le_word(block: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(block.as_chunks::<8>().0[i])
 }
 
-/// Pop a little-endian u32 off the front of `buf` (see [`get_u64_le`]).
-fn get_u32_le(buf: &mut &[u8]) -> u32 {
-    let (head, tail) = buf.split_at(4);
-    *buf = tail;
-    u32::from_le_bytes(head.try_into().expect("split_at(4) yields 4 bytes"))
+/// The little-endian u64 words of `bytes`; a trailing partial word is
+/// ignored.
+pub(crate) fn le_u64s(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes
+        .as_chunks::<8>()
+        .0
+        .iter()
+        .map(|w| u64::from_le_bytes(*w))
+}
+
+/// The little-endian u32 words of `bytes`; a trailing partial word is
+/// ignored.
+pub(crate) fn le_u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes
+        .as_chunks::<4>()
+        .0
+        .iter()
+        .map(|w| u32::from_le_bytes(*w))
 }
 
 /// Magic header of the binary CSR format.
@@ -171,25 +182,15 @@ pub fn read_csr<R: Read>(reader: R) -> io::Result<CsrGraph> {
             "bad magic: not a CNCCSR01 file",
         ));
     }
-    let mut hdr = &header[8..];
-    let n = get_u64_le(&mut hdr);
-    let m = get_u64_le(&mut hdr);
+    let (n, m) = (le_word(&header, 1), le_word(&header, 2));
     let offsets_raw = read_exact_vec(
         &mut r,
         n.saturating_add(1).saturating_mul(8),
         "offset array",
     )?;
-    let mut offsets = Vec::with_capacity(offsets_raw.len() / 8);
-    let mut buf = offsets_raw.as_slice();
-    for _ in 0..=n {
-        offsets.push(get_u64_le(&mut buf) as usize);
-    }
+    let offsets = le_u64s(&offsets_raw).map(|o| o as usize).collect();
     let dst_raw = read_exact_vec(&mut r, m.saturating_mul(4), "dst array")?;
-    let mut dst = Vec::with_capacity(dst_raw.len() / 4);
-    let mut buf = dst_raw.as_slice();
-    for _ in 0..m {
-        dst.push(get_u32_le(&mut buf));
-    }
+    let dst = le_u32s(&dst_raw).collect();
     CsrGraph::try_from_parts(offsets, dst)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("inconsistent CSR: {e}")))
 }
@@ -231,14 +232,12 @@ pub fn read_counts<R: Read>(reader: R) -> io::Result<Vec<u32>> {
             "bad magic: not a CNCCNT01 file",
         ));
     }
-    let m = get_u64_le(&mut &header[8..]);
-    let raw = read_exact_vec(&mut r, m.saturating_mul(4), "counts array")?;
-    let mut out = Vec::with_capacity(raw.len() / 4);
-    let mut buf = raw.as_slice();
-    for _ in 0..m {
-        out.push(get_u32_le(&mut buf));
-    }
-    Ok(out)
+    let raw = read_exact_vec(
+        &mut r,
+        le_word(&header, 1).saturating_mul(4),
+        "counts array",
+    )?;
+    Ok(le_u32s(&raw).collect())
 }
 
 #[cfg(test)]

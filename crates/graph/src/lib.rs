@@ -19,7 +19,7 @@
 //! * [`io`] — SNAP-style edge-list text I/O and a compact binary CSR format;
 //! * [`prepare`] — the one-shot preparation pipeline ([`PreparedGraph`]):
 //!   normalize → CSR → optional reorder → statistics, with a process-wide
-//!   memory cache and a zero-copy on-disk cache (`CNCPREP2`) so every
+//!   memory cache and a zero-copy on-disk cache (`CNCPREP4`) so every
 //!   consumer shares one immutable result;
 //! * [`mmap`] — in-tree `mmap(2)`/`flock(2)` bindings (the crate's only
 //!   `unsafe`) backing the zero-copy cache and its cross-process locking;
@@ -45,8 +45,9 @@
 // (raw `mmap`/`munmap`/`flock` bindings and the typed mapped-slice views).
 #![deny(unsafe_code)]
 // Lib code must surface failures as typed errors, not panics: unwrap()
-// is allowed in tests only (CI runs clippy with -D warnings).
+// and expect() are allowed in tests only (CI runs clippy with -D warnings).
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), warn(clippy::expect_used))]
 #![warn(missing_docs)]
 
 mod csr;

@@ -33,7 +33,7 @@ use std::ops::Deref;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Alignment guaranteed for every section of the `CNCPREP2` cache format;
+/// Alignment guaranteed for every section of the `CNCPREP4` cache format;
 /// also satisfies every element type [`Pod`] is implemented for.
 pub const SECTION_ALIGN: usize = 64;
 
@@ -279,6 +279,34 @@ impl<T: Pod> Deref for MappedSlice<T> {
     }
 }
 
+/// View a writable byte region as a slice of `T` — the write-side twin of
+/// [`MappedFile::typed_slice`], used to fill file sections in place.
+///
+/// Errors (never panics) when the region is misaligned for `T` or is not a
+/// whole number of elements. Only meaningful as an on-disk little-endian
+/// layout where [`zero_copy_layout`] holds.
+pub(crate) fn cast_slice_mut<T: Pod>(bytes: &mut [u8]) -> io::Result<&mut [T]> {
+    let invalid = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
+    if bytes.is_empty() {
+        return Ok(&mut []);
+    }
+    let size = std::mem::size_of::<T>();
+    if !bytes.len().is_multiple_of(size) {
+        return Err(invalid("byte region is not a whole number of elements"));
+    }
+    if !(bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<T>()) {
+        return Err(invalid("byte region is misaligned for its element type"));
+    }
+    // SAFETY: the region is non-empty, aligned for `T` and exactly
+    // `len / size` elements long (checked above); `T: Pod` admits every bit
+    // pattern and so does `u8`, so neither view can observe an invalid
+    // value; the exclusive borrow of `bytes` moves into the result, so the
+    // two views never alias.
+    Ok(unsafe {
+        std::slice::from_raw_parts_mut(bytes.as_mut_ptr().cast::<T>(), bytes.len() / size)
+    })
+}
+
 /// A read-write, *growable* memory mapping of a file, used by the streaming
 /// preparation pipeline to assemble a `CNCPREP` cache file section by
 /// section without an O(|E|) heap staging copy.
@@ -296,15 +324,42 @@ impl<T: Pod> Deref for MappedSlice<T> {
 /// callers fall back to the in-memory build path.
 #[derive(Debug)]
 pub struct MappedFileMut {
-    ptr: *mut u8,
-    len: usize,
-    file: Option<File>,
+    region: WritableRegion,
+    file: File,
 }
 
-// SAFETY: the raw pointer is only dereferenced through `&self`/`&mut self`
-// borrows; moving the handle across threads is fine. Deliberately not Sync —
+/// The live read-write mapping of a [`MappedFileMut`], unmapped on drop.
+#[derive(Debug)]
+struct WritableRegion {
+    ptr: *mut u8,
+    len: usize,
+}
+
+// SAFETY: `ptr`/`len` describe a mapping owned exclusively by this value and
+// only dereferenced through `&self`/`&mut self` borrows of the owning
+// `MappedFileMut`; moving it across threads is fine. Deliberately not Sync —
 // `bytes_mut` would otherwise allow aliased mutation.
-unsafe impl Send for MappedFileMut {}
+unsafe impl Send for WritableRegion {}
+
+impl WritableRegion {
+    const EMPTY: Self = Self {
+        ptr: std::ptr::null_mut(),
+        len: 0,
+    };
+}
+
+impl Drop for WritableRegion {
+    fn drop(&mut self) {
+        #[cfg(unix)]
+        if self.len != 0 {
+            // SAFETY: `ptr`/`len` describe the live mapping created by
+            // `MappedFileMut::grow`, unmapped exactly once here.
+            unsafe {
+                sys::munmap(self.ptr.cast(), self.len);
+            }
+        }
+    }
+}
 
 impl MappedFileMut {
     /// Create (truncating) `path` at `len` bytes and map it read-write.
@@ -320,9 +375,8 @@ impl MappedFileMut {
             .truncate(true)
             .open(path)?;
         let mut this = Self {
-            ptr: std::ptr::null_mut(),
-            len: 0,
-            file: Some(file),
+            region: WritableRegion::EMPTY,
+            file,
         };
         this.grow(len)?;
         Ok(this)
@@ -337,24 +391,6 @@ impl MappedFileMut {
         ))
     }
 
-    fn file(&self) -> &File {
-        // The Option is only vacated by `into_file`, which consumes `self`.
-        self.file.as_ref().expect("file present until into_file")
-    }
-
-    fn unmap(&mut self) {
-        #[cfg(unix)]
-        if self.len != 0 {
-            // SAFETY: `ptr`/`len` describe the live mapping created by
-            // `grow`; unmapped exactly once before being overwritten/dropped.
-            unsafe {
-                sys::munmap(self.ptr.cast(), self.len);
-            }
-        }
-        self.ptr = std::ptr::null_mut();
-        self.len = 0;
-    }
-
     /// Extend the file to `new_len` bytes (zero-filled) and remap.
     ///
     /// Shrinking is rejected: live references into the tail would become
@@ -363,17 +399,21 @@ impl MappedFileMut {
     pub fn grow(&mut self, new_len: usize) -> io::Result<()> {
         use std::os::unix::io::AsRawFd;
 
-        if new_len < self.len {
+        if new_len < self.region.len {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("cannot shrink mapping from {} to {new_len} bytes", self.len),
+                format!(
+                    "cannot shrink mapping from {} to {new_len} bytes",
+                    self.region.len
+                ),
             ));
         }
-        if new_len == self.len {
+        if new_len == self.region.len {
             return Ok(());
         }
-        self.unmap();
-        self.file().set_len(new_len as u64)?;
+        // Dropping the old region unmaps it before the file changes size.
+        self.region = WritableRegion::EMPTY;
+        self.file.set_len(new_len as u64)?;
         // SAFETY: fd is a valid open file of exactly `new_len` bytes; we
         // request a fresh shared read-write mapping at a kernel-chosen
         // address.
@@ -383,15 +423,17 @@ impl MappedFileMut {
                 new_len,
                 sys::PROT_READ | sys::PROT_WRITE,
                 sys::MAP_SHARED,
-                self.file().as_raw_fd(),
+                self.file.as_raw_fd(),
                 0,
             )
         };
         if ptr == sys::map_failed() {
             return Err(io::Error::last_os_error());
         }
-        self.ptr = ptr.cast();
-        self.len = new_len;
+        self.region = WritableRegion {
+            ptr: ptr.cast(),
+            len: new_len,
+        };
         Ok(())
     }
 
@@ -406,45 +448,40 @@ impl MappedFileMut {
 
     /// The mapped bytes, writable.
     pub fn bytes_mut(&mut self) -> &mut [u8] {
-        if self.len == 0 {
+        if self.region.len == 0 {
             return &mut [];
         }
         // SAFETY: `ptr` is a live PROT_READ|PROT_WRITE mapping of exactly
         // `len` bytes owned by `self`; the exclusive borrow ties the slice to
         // the mapping and prevents aliasing.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.len) }
+        unsafe { std::slice::from_raw_parts_mut(self.region.ptr, self.region.len) }
     }
 
     /// The mapped bytes, read-only.
     pub fn bytes(&self) -> &[u8] {
-        if self.len == 0 {
+        if self.region.len == 0 {
             return &[];
         }
         // SAFETY: as in `bytes_mut`, with a shared borrow.
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+        unsafe { std::slice::from_raw_parts(self.region.ptr, self.region.len) }
     }
 
     /// Length of the mapping in bytes.
     pub fn len(&self) -> usize {
-        self.len
+        self.region.len
     }
 
     /// Whether the mapping is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.region.len == 0
     }
 
     /// Unmap and return the file handle so the caller can `sync_all` and
     /// rename the finished file into place.
-    pub fn into_file(mut self) -> File {
-        self.unmap();
-        self.file.take().expect("file present until into_file")
-    }
-}
-
-impl Drop for MappedFileMut {
-    fn drop(&mut self) {
-        self.unmap();
+    pub fn into_file(self) -> File {
+        let Self { region, file } = self;
+        drop(region);
+        file
     }
 }
 

@@ -55,9 +55,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::SystemTime;
 
-use crate::csr::CsrGraph;
+use crate::csr::{reverse_index_into, CsrGraph};
 use crate::datasets::{Dataset, Scale};
 use crate::edgelist::EdgeList;
+use crate::io::{le_u32s, le_u64s, le_word};
 use crate::mmap::{self, FileLock, MappedFile};
 use crate::reorder::{self, Reordered};
 use crate::stats::{skew_percentage, GraphStats, SKEW_THRESHOLD};
@@ -327,15 +328,15 @@ impl PreparedGraph {
             num_vertices: n,
             num_edges: m,
             avg_degree: if n == 0 { 0.0 } else { m as f64 / n as f64 },
-            max_degree: parsed.max_degree,
+            max_degree: parsed.header.max_degree,
         };
         Self {
             graph,
             reordered,
             stats,
-            skew_pct: parsed.skew_pct,
+            skew_pct: parsed.header.skew_pct,
             capacity_scale: 1.0,
-            policy: parsed.policy,
+            policy: parsed.header.policy,
         }
     }
 
@@ -420,7 +421,9 @@ impl PreparedGraph {
 // Section order: offsets (u64 LE), neighbors (u32 LE) and reverse-edge index
 // (u64 LE, `rev[e(u,v)] = e(v,u)`) of the original graph, then — with
 // reordering — offsets + neighbors + reverse index of the relabeled graph
-// and the new→old remap table (u32 LE). The 64-byte alignment means a
+// and the new→old remap table (u32 LE). Both writers take this table from
+// `layout` and `Header::encode`; `parse_prepared` checks it against the same
+// `SECTION_WIDTHS` and `Header::decode`. The 64-byte alignment means a
 // page-aligned mmap of the file can serve every array in place on 64-bit
 // little-endian targets; the checksums let a mapped file be validated
 // without copying it, and the persisted skew/degree statistics spare warm
@@ -473,10 +476,9 @@ pub(crate) fn checksum(bytes: &[u8]) -> u64 {
         FNV_OFFSET ^ 0x11,
         FNV_OFFSET,
     ];
-    let mut chunks = bytes.chunks_exact(32);
-    for chunk in &mut chunks {
-        for (lane, word) in lanes.iter_mut().zip(chunk.chunks_exact(8)) {
-            let w = u64::from_le_bytes(word.try_into().expect("8-byte word"));
+    let (blocks, tail) = bytes.as_chunks::<32>();
+    for block in blocks {
+        for (lane, w) in lanes.iter_mut().zip(le_u64s(block)) {
             *lane = (*lane ^ w).wrapping_mul(FNV_PRIME);
         }
     }
@@ -484,7 +486,7 @@ pub(crate) fn checksum(bytes: &[u8]) -> u64 {
     for lane in lanes {
         hash = (hash ^ lane).wrapping_mul(FNV_PRIME);
     }
-    for word in chunks.remainder().chunks(8) {
+    for word in tail.chunks(8) {
         let mut padded = [0u8; 8];
         padded[..word.len()].copy_from_slice(word);
         hash = (hash ^ u64::from_le_bytes(padded)).wrapping_mul(FNV_PRIME);
@@ -496,31 +498,130 @@ fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-fn write_section_header<W: Write>(
-    w: &mut W,
-    payload_len: u64,
-    checksum: u64,
-    elem_width: u64,
-) -> io::Result<()> {
+/// Element widths of the sections, in file order: offsets (u64),
+/// neighbors (u32) and reverse index (u64) of the original graph, then —
+/// with reordering — the same triple of the relabeled graph and the
+/// new→old table (u32).
+const SECTION_WIDTHS: [usize; 7] = [8, 4, 8, 8, 4, 8, 4];
+
+fn section_widths(reordered: bool) -> &'static [usize] {
+    if reordered {
+        &SECTION_WIDTHS
+    } else {
+        &SECTION_WIDTHS[..3]
+    }
+}
+
+/// The fields of the fixed 64-byte file header.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Header {
+    pub(crate) policy: ReorderPolicy,
+    /// Whether the relabeled sections follow (must match the policy).
+    pub(crate) reordered: bool,
+    pub(crate) skew_pct: f64,
+    pub(crate) max_degree: usize,
+}
+
+impl Header {
+    fn encode(&self) -> [u8; HEADER_LEN] {
+        let mut h = [0u8; HEADER_LEN];
+        h[..8].copy_from_slice(PREPARED_MAGIC);
+        h[8] = self.policy.byte();
+        h[9] = self.reordered as u8;
+        let sections = section_widths(self.reordered).len() as u64;
+        h[16..24].copy_from_slice(&sections.to_le_bytes());
+        h[24..32].copy_from_slice(&self.skew_pct.to_bits().to_le_bytes());
+        h[32..40].copy_from_slice(&(self.max_degree as u64).to_le_bytes());
+        let hcheck = checksum(&h[..56]);
+        h[56..].copy_from_slice(&hcheck.to_le_bytes());
+        h
+    }
+
+    /// Validate and decode the header at the front of an image.
+    fn decode(bytes: &[u8]) -> io::Result<Self> {
+        let h = bytes
+            .first_chunk::<HEADER_LEN>()
+            .ok_or_else(|| invalid("truncated CNCPREP4 header"))?;
+        if &h[..8] != PREPARED_MAGIC {
+            return Err(invalid("bad magic: not a CNCPREP4 file"));
+        }
+        if checksum(&h[..56]) != le_word(h, 7) {
+            return Err(invalid("header checksum mismatch"));
+        }
+        let policy =
+            ReorderPolicy::from_byte(h[8]).ok_or_else(|| invalid("unknown reorder policy byte"))?;
+        let reordered = match h[9] {
+            0 => false,
+            1 => true,
+            _ => return Err(invalid("bad reordered-presence flag")),
+        };
+        if reordered != matches!(policy, ReorderPolicy::DegreeDescending) {
+            return Err(invalid("reorder sections inconsistent with policy byte"));
+        }
+        if le_word(h, 2) != section_widths(reordered).len() as u64 {
+            return Err(invalid("section count inconsistent with header flags"));
+        }
+        Ok(Self {
+            policy,
+            reordered,
+            skew_pct: f64::from_bits(le_word(h, 3)),
+            max_degree: usize::try_from(le_word(h, 4))
+                .map_err(|_| invalid("max degree exceeds platform usize"))?,
+        })
+    }
+}
+
+/// The section table of an image holding a graph with `n` vertices and `m`
+/// directed edge slots (plus, when `reordered`, its relabeled twin and the
+/// remap table), and the image's total length.
+pub(crate) fn layout(reordered: bool, n: usize, m: usize) -> (Vec<Section>, usize) {
+    let counts = [n + 1, m, m, n + 1, m, m, n];
+    let mut pos = HEADER_LEN;
+    let mut sections = Vec::with_capacity(counts.len());
+    for (&elem_width, count) in section_widths(reordered).iter().zip(counts) {
+        let start = pos + SECTION_HEADER_LEN;
+        let payload_len = count * elem_width;
+        pos = align_up(start + payload_len);
+        sections.push(Section {
+            start,
+            payload_len,
+            elem_width,
+        });
+    }
+    (sections, pos)
+}
+
+/// Split an image buffer laid out as `sections` into their disjoint
+/// payloads, in section order.
+pub(crate) fn payloads_mut<'a>(mut bytes: &'a mut [u8], sections: &[Section]) -> Vec<&'a mut [u8]> {
+    let mut out = Vec::with_capacity(sections.len());
+    let mut at = 0;
+    for s in sections {
+        let (_, rest) = std::mem::take(&mut bytes).split_at_mut(s.start - at);
+        let (payload, rest) = rest.split_at_mut(s.payload_len);
+        out.push(payload);
+        bytes = rest;
+        at = s.start + s.payload_len;
+    }
+    out
+}
+
+/// Stamp the section headers (with their payload checksums) and then the
+/// file header into an image whose payloads are complete.
+pub(crate) fn seal_image(bytes: &mut [u8], sections: &[Section], header: &Header) {
+    for s in sections {
+        let section_header = section_header(s.bytes(bytes), s.elem_width);
+        bytes[s.start - SECTION_HEADER_LEN..s.start].copy_from_slice(&section_header);
+    }
+    bytes[..HEADER_LEN].copy_from_slice(&header.encode());
+}
+
+fn section_header(payload: &[u8], elem_width: usize) -> [u8; SECTION_HEADER_LEN] {
     let mut header = [0u8; SECTION_HEADER_LEN];
-    header[..8].copy_from_slice(&payload_len.to_le_bytes());
-    header[8..16].copy_from_slice(&checksum.to_le_bytes());
-    header[16..24].copy_from_slice(&elem_width.to_le_bytes());
-    w.write_all(&header)
-}
-
-fn write_padding<W: Write>(w: &mut W, payload_len: usize) -> io::Result<()> {
-    let pad = align_up(payload_len) - payload_len;
-    w.write_all(&[0u8; ALIGN][..pad])
-}
-
-/// One aligned, checksummed section: serialize the elements once into a
-/// payload buffer (the header's checksum precedes the payload on disk),
-/// checksum it, stream it out.
-fn write_section<W: Write>(w: &mut W, payload: &[u8], elem_width: u64) -> io::Result<()> {
-    write_section_header(w, payload.len() as u64, checksum(payload), elem_width)?;
-    w.write_all(payload)?;
-    write_padding(w, payload.len())
+    header[..8].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    header[8..16].copy_from_slice(&checksum(payload).to_le_bytes());
+    header[16..24].copy_from_slice(&(elem_width as u64).to_le_bytes());
+    header
 }
 
 fn u64_payload(vals: &[usize]) -> Vec<u8> {
@@ -545,9 +646,9 @@ fn rev_payload(g: &CsrGraph) -> Vec<u8> {
     match g.reverse_index() {
         Some(rev) => u64_payload(rev),
         None => {
-            let mut tmp = g.clone();
-            tmp.build_reverse_index();
-            u64_payload(tmp.reverse_index().expect("index was just built"))
+            let mut rev = vec![0usize; g.num_directed_edges()];
+            reverse_index_into(g.offsets(), g.dst(), &mut rev);
+            u64_payload(&rev)
         }
     }
 }
@@ -555,33 +656,44 @@ fn rev_payload(g: &CsrGraph) -> Vec<u8> {
 /// Serialize a prepared graph (CSR + reverse-edge index, policy, statistics,
 /// optional relabeled CSR + remap table) in the `CNCPREP4` cache format.
 pub fn write_prepared<W: Write>(pg: &PreparedGraph, writer: W) -> io::Result<()> {
+    let header = Header {
+        policy: pg.policy,
+        reordered: pg.reordered.is_some(),
+        skew_pct: pg.skew_pct,
+        max_degree: pg.stats.max_degree,
+    };
+    let (sections, _) = layout(
+        header.reordered,
+        pg.graph.num_vertices(),
+        pg.graph.num_directed_edges(),
+    );
+    let mut sections = sections.iter();
     let mut w = BufWriter::new(writer);
-    let sections: u64 = if pg.reordered.is_some() { 7 } else { 3 };
-    let mut header = [0u8; HEADER_LEN];
-    header[..8].copy_from_slice(PREPARED_MAGIC);
-    header[8] = pg.policy.byte();
-    header[9] = pg.reordered.is_some() as u8;
-    header[16..24].copy_from_slice(&sections.to_le_bytes());
-    header[24..32].copy_from_slice(&pg.skew_pct.to_bits().to_le_bytes());
-    header[32..40].copy_from_slice(&(pg.stats.max_degree as u64).to_le_bytes());
-    let hcheck = checksum(&header[..56]);
-    header[56..64].copy_from_slice(&hcheck.to_le_bytes());
-    w.write_all(&header)?;
-    write_section(&mut w, &u64_payload(pg.graph.offsets()), 8)?;
-    write_section(&mut w, &u32_payload(pg.graph.dst()), 4)?;
-    write_section(&mut w, &rev_payload(&pg.graph), 8)?;
+    w.write_all(&header.encode())?;
+    // Payloads are encoded one at a time, as the writer reaches them.
+    let mut put = |payload: Vec<u8>| -> io::Result<()> {
+        let s = sections
+            .next()
+            .ok_or_else(|| invalid("section table exhausted"))?;
+        debug_assert_eq!(payload.len(), s.payload_len);
+        w.write_all(&section_header(&payload, s.elem_width))?;
+        w.write_all(&payload)?;
+        w.write_all(&[0u8; ALIGN][..align_up(payload.len()) - payload.len()])
+    };
+    for g in std::iter::once(&pg.graph).chain(pg.reordered.as_ref().map(|r| &r.graph)) {
+        put(u64_payload(g.offsets()))?;
+        put(u32_payload(g.dst()))?;
+        put(rev_payload(g))?;
+    }
     if let Some(r) = &pg.reordered {
-        write_section(&mut w, &u64_payload(r.graph.offsets()), 8)?;
-        write_section(&mut w, &u32_payload(r.graph.dst()), 4)?;
-        write_section(&mut w, &rev_payload(&r.graph), 8)?;
-        write_section(&mut w, &u32_payload(&r.new_to_old), 4)?;
+        put(u32_payload(&r.new_to_old))?;
     }
     w.flush()
 }
 
-/// A parsed (and checksum-verified) section of a `CNCPREP4` byte image.
-struct Section {
-    /// Payload byte range within the file.
+/// Where one section's payload sits in an image.
+pub(crate) struct Section {
+    /// Payload byte offset within the file.
     start: usize,
     payload_len: usize,
     elem_width: usize,
@@ -597,71 +709,41 @@ impl Section {
     }
 }
 
-fn read_u64_at(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte range"))
-}
-
 /// Validate a `CNCPREP4` byte image *in place* — header, section layout,
 /// alignment, per-section checksums — without copying any payload. Returns
-/// the policy, the persisted statistics, and the section table (3 sections,
-/// or 7 with reorder data).
+/// the header fields and the section table (3 sections, or 7 with reorder
+/// data).
 fn parse_prepared(bytes: &[u8]) -> io::Result<ParsedPrepared> {
-    if bytes.len() < HEADER_LEN {
-        return Err(invalid("truncated CNCPREP4 header"));
-    }
-    if &bytes[..8] != PREPARED_MAGIC {
-        return Err(invalid("bad magic: not a CNCPREP4 file"));
-    }
-    if checksum(&bytes[..56]) != read_u64_at(bytes, 56) {
-        return Err(invalid("header checksum mismatch"));
-    }
-    let policy =
-        ReorderPolicy::from_byte(bytes[8]).ok_or_else(|| invalid("unknown reorder policy byte"))?;
-    let has_reordered = match bytes[9] {
-        0 => false,
-        1 => true,
-        _ => return Err(invalid("bad reordered-presence flag")),
-    };
-    if has_reordered != matches!(policy, ReorderPolicy::DegreeDescending) {
-        return Err(invalid("reorder sections inconsistent with policy byte"));
-    }
-    let expected_widths: &[usize] = if has_reordered {
-        &[8, 4, 8, 8, 4, 8, 4]
-    } else {
-        &[8, 4, 8]
-    };
-    if read_u64_at(bytes, 16) != expected_widths.len() as u64 {
-        return Err(invalid("section count inconsistent with header flags"));
-    }
-    let mut sections = Vec::with_capacity(expected_widths.len());
+    let header = Header::decode(bytes)?;
+    let widths = section_widths(header.reordered);
+    let mut sections = Vec::with_capacity(widths.len());
     let mut pos = HEADER_LEN;
-    for (i, &width) in expected_widths.iter().enumerate() {
+    for (i, &width) in widths.iter().enumerate() {
         debug_assert_eq!(pos % ALIGN, 0);
-        let header_end = pos
-            .checked_add(SECTION_HEADER_LEN)
-            .filter(|&e| e <= bytes.len())
+        let section_header = bytes
+            .get(pos..)
+            .and_then(<[u8]>::first_chunk::<SECTION_HEADER_LEN>)
             .ok_or_else(|| invalid(format!("truncated header of section {i}")))?;
-        let payload_len = read_u64_at(bytes, pos);
-        let want_checksum = read_u64_at(bytes, pos + 8);
-        if read_u64_at(bytes, pos + 16) != width as u64 {
+        if le_word(section_header, 2) != width as u64 {
             return Err(invalid(format!("unexpected element width in section {i}")));
         }
-        let payload_len = usize::try_from(payload_len)
+        let payload_len = usize::try_from(le_word(section_header, 0))
             .map_err(|_| invalid(format!("section {i} too large for this platform")))?;
         if payload_len % width != 0 {
             return Err(invalid(format!(
                 "section {i} length is not a multiple of its element width"
             )));
         }
-        let end = header_end
+        let start = pos + SECTION_HEADER_LEN;
+        let end = start
             .checked_add(payload_len)
             .filter(|&e| e <= bytes.len())
             .ok_or_else(|| invalid(format!("truncated payload of section {i}")))?;
-        if checksum(&bytes[header_end..end]) != want_checksum {
+        if checksum(&bytes[start..end]) != le_word(section_header, 1) {
             return Err(invalid(format!("checksum mismatch in section {i}")));
         }
         sections.push(Section {
-            start: header_end,
+            start,
             payload_len,
             elem_width: width,
         });
@@ -670,37 +752,23 @@ fn parse_prepared(bytes: &[u8]) -> io::Result<ParsedPrepared> {
     if pos != bytes.len() {
         return Err(invalid("file length inconsistent with section table"));
     }
-    Ok(ParsedPrepared {
-        policy,
-        skew_pct: f64::from_bits(read_u64_at(bytes, 24)),
-        max_degree: usize::try_from(read_u64_at(bytes, 32))
-            .map_err(|_| invalid("max degree exceeds platform usize"))?,
-        sections,
-    })
+    Ok(ParsedPrepared { header, sections })
 }
 
 /// The validated header fields + section table of a `CNCPREP4` image.
 struct ParsedPrepared {
-    policy: ReorderPolicy,
-    skew_pct: f64,
-    max_degree: usize,
+    header: Header,
     sections: Vec<Section>,
 }
 
 fn decode_usize_payload(payload: &[u8]) -> io::Result<Vec<usize>> {
-    let mut out = Vec::with_capacity(payload.len() / 8);
-    for chunk in payload.chunks_exact(8) {
-        let v = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
-        out.push(usize::try_from(v).map_err(|_| invalid("offset value exceeds platform usize"))?);
-    }
-    Ok(out)
+    le_u64s(payload)
+        .map(|v| usize::try_from(v).map_err(|_| invalid("offset value exceeds platform usize")))
+        .collect()
 }
 
 fn decode_u32_payload(payload: &[u8]) -> Vec<u32> {
-    payload
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("chunks_exact(4)")))
-        .collect()
+    le_u32s(payload).collect()
 }
 
 /// Rebuild [`Reordered`] from a deserialized relabeled graph + new→old
@@ -1200,6 +1268,28 @@ mod tests {
                 }
                 other => panic!("reorder tables lost in round trip: {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn unindexed_graph_writes_the_built_reverse_index() {
+        // A hand-assembled graph with no reverse index: write_prepared must
+        // derive the same index that build_reverse_index() would attach.
+        let g = CsrGraph::from_edge_list(&generators::hub_web(150, 5.0, 2, 0.4, 6));
+        for policy in [ReorderPolicy::None, ReorderPolicy::DegreeDescending] {
+            let reordered =
+                (policy == ReorderPolicy::DegreeDescending).then(|| reorder::degree_descending(&g));
+            let bare = PreparedGraph::assemble(g.clone(), reordered, policy, 1.0);
+            assert!(!bare.graph().has_reverse_index());
+            let mut indexed = bare.clone();
+            indexed.graph.build_reverse_index();
+            if let Some(r) = &mut indexed.reordered {
+                r.graph.build_reverse_index();
+            }
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            write_prepared(&bare, &mut got).unwrap();
+            write_prepared(&indexed, &mut want).unwrap();
+            assert_eq!(got, want, "policy {policy:?}");
         }
     }
 

@@ -4,10 +4,11 @@
 //! invariant `u < v ⇒ d_u ≥ d_v`: the bitmap is always built for the
 //! larger-degree endpoint and the smaller neighbor list is the probe side.
 //! The relabeling sorts vertices by descending degree (ties broken by old
-//! id, making it deterministic) and remaps every edge —
-//! `O(|V| log |V| + |E|)` exactly as the paper states.
+//! id, making it deterministic) and remaps every neighbor run, re-sorting
+//! each one: `O(|V| log |V| + Σ d log d)` against the paper's
+//! `O(|V| log |V| + |E|)`, with no global pair sort.
 
-use crate::csr::CsrGraph;
+use crate::csr::{prefix_offsets, CsrGraph};
 
 /// The result of a degree-descending relabel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,26 +35,59 @@ impl Reordered {
 
 /// Relabel so vertex ids are in descending degree order.
 pub fn degree_descending(g: &CsrGraph) -> Reordered {
-    let n = g.num_vertices();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    // Descending degree, ascending old id on ties: deterministic.
-    order.sort_by(|&a, &b| g.degree(b).cmp(&g.degree(a)).then_with(|| a.cmp(&b)));
-    let new_to_old = order;
-    let mut old_to_new = vec![0u32; n];
-    for (new_id, &old_id) in new_to_old.iter().enumerate() {
-        old_to_new[old_id as usize] = new_id as u32;
+    let mut new_to_old = vec![0u32; g.num_vertices()];
+    degree_order(g.offsets(), &mut new_to_old);
+    relabel(g, new_to_old)
+}
+
+/// Fill `order` (length |V|) with the vertex ids of the CSR `offsets` by
+/// descending degree, ascending old id on ties: deterministic.
+pub(crate) fn degree_order(offsets: &[usize], order: &mut [u32]) {
+    for (i, slot) in order.iter_mut().enumerate() {
+        *slot = i as u32;
     }
-    // Remap edges; build the CSR from undirected pairs (u < v once each).
-    let pairs = g
-        .iter_edges()
-        .filter(|&(_, u, v)| u < v)
-        .map(|(_, u, v)| (old_to_new[u as usize], old_to_new[v as usize]));
-    let graph = CsrGraph::from_undirected_pairs(n, pairs);
+    let degree = |v: u32| offsets[v as usize + 1] - offsets[v as usize];
+    order.sort_unstable_by(|&a, &b| degree(b).cmp(&degree(a)).then_with(|| a.cmp(&b)));
+}
+
+/// The relabel of `g` in which new vertex `i` is old vertex `new_to_old[i]`.
+fn relabel(g: &CsrGraph, new_to_old: Vec<u32>) -> Reordered {
+    let mut offsets = vec![0usize; g.num_vertices() + 1];
+    let mut dst = vec![0u32; g.num_directed_edges()];
+    let old_to_new = relabel_into(g.offsets(), g.dst(), &new_to_old, &mut offsets, &mut dst);
     Reordered {
-        graph,
+        graph: CsrGraph::from_built(offsets, dst),
         old_to_new,
         new_to_old,
     }
+}
+
+/// Relabel the CSR (`offsets`, `dst`) by the vertex order `new_to_old` into
+/// `new_offsets` (|V| + 1) and `new_dst` (|E|), returning the inverse
+/// old→new table. New vertex `i`'s run is old vertex `new_to_old[i]`'s run
+/// mapped through the inverse and sorted in place — `O(|V| + Σ d log d)`,
+/// with no global pair sort and no scratch beyond the inverse.
+pub(crate) fn relabel_into(
+    offsets: &[usize],
+    dst: &[u32],
+    new_to_old: &[u32],
+    new_offsets: &mut [usize],
+    new_dst: &mut [u32],
+) -> Vec<u32> {
+    let mut old_to_new = vec![0u32; new_to_old.len()];
+    for (new_id, &old_id) in new_to_old.iter().enumerate() {
+        old_to_new[old_id as usize] = new_id as u32;
+    }
+    let run = |old: u32| &dst[offsets[old as usize]..offsets[old as usize + 1]];
+    prefix_offsets(new_to_old.iter().map(|&old| run(old).len()), new_offsets);
+    for (new_id, &old_id) in new_to_old.iter().enumerate() {
+        let out = &mut new_dst[new_offsets[new_id]..new_offsets[new_id + 1]];
+        for (slot, &v) in out.iter_mut().zip(run(old_id)) {
+            *slot = old_to_new[v as usize];
+        }
+        out.sort_unstable();
+    }
+    old_to_new
 }
 
 /// Check the BMP invariant on a graph: `u < v ⇒ d_u ≥ d_v`.
@@ -144,21 +178,7 @@ pub fn core_descending(g: &CsrGraph) -> Reordered {
             .then_with(|| g.degree(b).cmp(&g.degree(a)))
             .then_with(|| a.cmp(&b))
     });
-    let new_to_old = order;
-    let mut old_to_new = vec![0u32; n];
-    for (new_id, &old_id) in new_to_old.iter().enumerate() {
-        old_to_new[old_id as usize] = new_id as u32;
-    }
-    let pairs = g
-        .iter_edges()
-        .filter(|&(_, u, v)| u < v)
-        .map(|(_, u, v)| (old_to_new[u as usize], old_to_new[v as usize]));
-    let graph = CsrGraph::from_undirected_pairs(n, pairs);
-    Reordered {
-        graph,
-        old_to_new,
-        new_to_old,
-    }
+    relabel(g, order)
 }
 
 #[cfg(test)]
@@ -166,6 +186,74 @@ mod tests {
     use super::*;
     use crate::edgelist::EdgeList;
     use crate::generators;
+    use proptest::prelude::*;
+
+    /// Reference relabel: map every `u < v` pair through the inverse of
+    /// `new_to_old` and rebuild the CSR from scratch.
+    fn reference_relabel(g: &CsrGraph, new_to_old: &[u32]) -> Reordered {
+        let mut old_to_new = vec![0u32; new_to_old.len()];
+        for (new_id, &old_id) in new_to_old.iter().enumerate() {
+            old_to_new[old_id as usize] = new_id as u32;
+        }
+        let pairs = g
+            .iter_edges()
+            .filter(|&(_, u, v)| u < v)
+            .map(|(_, u, v)| (old_to_new[u as usize], old_to_new[v as usize]));
+        Reordered {
+            graph: CsrGraph::from_undirected_pairs(g.num_vertices(), pairs),
+            old_to_new,
+            new_to_old: new_to_old.to_vec(),
+        }
+    }
+
+    /// The three vertex orders the shared relabel serves, each checked
+    /// against the reference.
+    fn check_all_orders(g: &CsrGraph, seed: u64) {
+        let n = g.num_vertices() as u32;
+        let mut by_degree: Vec<u32> = (0..n).collect();
+        by_degree.sort_by(|&a, &b| g.degree(b).cmp(&g.degree(a)).then(a.cmp(&b)));
+        assert_eq!(degree_descending(g), reference_relabel(g, &by_degree));
+
+        let by_core = core_descending(g);
+        assert_eq!(by_core, reference_relabel(g, &by_core.new_to_old));
+
+        // x ↦ (x ^ seed) · odd is a bijection on u64: distinct sort keys.
+        let mut random: Vec<u32> = (0..n).collect();
+        random.sort_by_key(|&v| (u64::from(v) ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        assert_eq!(relabel(g, random.clone()), reference_relabel(g, &random));
+    }
+
+    #[test]
+    fn shared_relabel_matches_reference_on_edge_cases() {
+        for g in [
+            CsrGraph::from_edge_list(&EdgeList::new(0)),
+            CsrGraph::from_edge_list(&EdgeList::new(5)),
+            CsrGraph::from_edge_list(&generators::star(9)),
+        ] {
+            check_all_orders(&g, 7);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Arbitrary pair lists, with isolated vertices padded below and
+        /// above the ids the pairs use.
+        #[test]
+        fn shared_relabel_matches_reference(
+            ps in prop::collection::vec((0u32..40, 0u32..40), 0..200),
+            pad_lo in 0u32..3,
+            pad_hi in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            let n = 40 + pad_lo as usize + pad_hi;
+            let g = CsrGraph::from_undirected_pairs(
+                n,
+                ps.iter().map(|&(u, v)| (u + pad_lo, v + pad_lo)),
+            );
+            check_all_orders(&g, seed);
+        }
+    }
 
     #[test]
     fn relabel_star_graph() {

@@ -30,28 +30,38 @@ impl GraphStats {
     pub fn of(g: &CsrGraph) -> Self {
         let n = g.num_vertices();
         let m = g.num_directed_edges();
-        let max_degree = (0..n as u32).map(|u| g.degree(u)).max().unwrap_or(0);
         Self {
             num_vertices: n,
             num_edges: m,
             avg_degree: if n == 0 { 0.0 } else { m as f64 / n as f64 },
-            max_degree,
+            max_degree: max_degree(g.offsets()),
         }
     }
+}
+
+/// The largest degree of the CSR with these offsets (0 when edgeless).
+pub(crate) fn max_degree(offsets: &[usize]) -> usize {
+    offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0)
 }
 
 /// Table 2: percentage of the intersections performed by the all-edge
 /// counting (one per undirected edge, `u < v`) whose degree ratio exceeds
 /// `threshold`.
 pub fn skew_percentage(g: &CsrGraph, threshold: u32) -> f64 {
+    skew_pct(g.offsets(), g.dst(), threshold)
+}
+
+/// [`skew_percentage`] over raw CSR arrays (`offsets`, `dst`).
+pub(crate) fn skew_pct(offsets: &[usize], dst: &[u32], threshold: u32) -> f64 {
+    let degree = |v: usize| offsets[v + 1] - offsets[v];
     let mut total = 0u64;
     let mut skewed = 0u64;
-    for u in 0..g.num_vertices() as u32 {
-        let du = g.degree(u);
-        for &v in g.neighbors(u) {
-            if u < v {
+    for u in 0..offsets.len().saturating_sub(1) {
+        let du = degree(u);
+        for &v in &dst[offsets[u]..offsets[u + 1]] {
+            if u < v as usize {
                 total += 1;
-                let dv = g.degree(v);
+                let dv = degree(v as usize);
                 let (s, l) = if du < dv { (du, dv) } else { (dv, du) };
                 if s > 0 && l > threshold as usize * s {
                     skewed += 1;

@@ -23,14 +23,15 @@
 //! [`StreamConfig`]); when the canonical edges outgrow it, sorted
 //! deduplicated runs spill to disk in the `CNCRUN01` format and are merged
 //! back — twice, since CSR construction needs a degree pass before the
-//! placement pass. Because the merged stream is globally sorted, scattering
-//! both directions through per-vertex cursors emits every neighbor run
-//! already ascending (for vertex `w`, the backward neighbors `u < w` arrive
-//! first in `u` order, then the forward neighbors in `v` order, all larger
-//! than `w`), so no per-run sort is ever needed and the output is
+//! placement pass. Every later step — the offsets prefix sum, the sorted-pair
+//! scatter, the reverse-index walk, the skew statistic, the relabel and the
+//! section table — is the same function the in-memory pipeline calls, run
+//! on typed views of the mapped sections, so the output is
 //! **byte-identical** to [`crate::prepare::write_prepared`] serializing the
 //! in-memory builder's result — the property the differential test suite
-//! pins on every dataset analogue.
+//! pins on every dataset analogue. The typed views need a 64-bit
+//! little-endian host; elsewhere the writer returns
+//! [`io::ErrorKind::Unsupported`].
 //!
 //! Work is accounted in [`crate::prepare::PrepareMetrics`] (`spill_runs`,
 //! `spill_bytes`, `stream_chunks`, `peak_resident_bytes`) and mirrored to
@@ -44,18 +45,16 @@ use std::io::{self, BufReader, BufWriter, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::csr::CsrGraph;
-use crate::io::{parse_edge_line, read_exact_vec};
-use crate::mmap::MappedFileMut;
-use crate::prepare::{
-    align_up, bump, checksum, ReorderPolicy, HEADER_LEN, PREPARED_MAGIC, SECTION_HEADER_LEN,
-};
-use crate::stats::SKEW_THRESHOLD;
+use crate::csr::{prefix_offsets, reverse_index_into, scatter_sorted_pairs};
+use crate::io::{le_u64s, le_word, parse_edge_line, read_exact_vec};
+use crate::mmap::{self, cast_slice_mut, MappedFileMut, Pod};
+use crate::prepare::{self, bump, seal_image, Header, ReorderPolicy, HEADER_LEN};
+use crate::reorder::{degree_order, relabel_into};
+use crate::stats::{max_degree, skew_pct, SKEW_THRESHOLD};
 
 /// Environment variable holding the preparation memory budget in bytes.
-/// When set, the cache-miss path of [`crate::prepare::prepared_on_disk`] and
-/// [`crate::datasets::Dataset::build`] route through this module instead of
-/// the in-memory builder.
+/// When set, the cache-miss path of [`crate::prepare::prepared_on_disk`]
+/// routes through this module instead of the in-memory builder.
 pub const PREP_MEM_BYTES_ENV: &str = "CNC_PREP_MEM_BYTES";
 
 /// Magic header of a spill run file: sorted, deduplicated canonical pairs.
@@ -312,18 +311,14 @@ impl<R: Read> BinaryCsrSource<R> {
         if &header[..8] != b"CNCCSR01" {
             return Err(invalid("bad magic: not a CNCCSR01 file"));
         }
-        let n = u64::from_le_bytes(header[8..16].try_into().expect("8-byte range"));
-        let m = u64::from_le_bytes(header[16..24].try_into().expect("8-byte range"));
+        let (n, m) = (le_word(&header, 1), le_word(&header, 2));
         let n_usize = usize::try_from(n).map_err(|_| invalid("|V| exceeds platform usize"))?;
         let raw = read_exact_vec(
             &mut reader,
             n.saturating_add(1).saturating_mul(8),
             "offsets",
         )?;
-        let offsets: Vec<u64> = raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
-            .collect();
+        let offsets: Vec<u64> = le_u64s(&raw).collect();
         if offsets.last() != Some(&m) {
             return Err(invalid("CNCCSR01 offsets endpoint does not match |dst|"));
         }
@@ -361,20 +356,15 @@ impl<R: Read> BinaryCsrSource<R> {
             }
             self.buf.truncate(filled);
             self.chunks += 1;
-            if self.buf.len() < 4 {
-                return Err(invalid(format!(
-                    "truncated CNCCSR01 adjacency: slot {} of {} missing",
-                    self.eid, self.total_dst
-                )));
-            }
         }
-        let v = u32::from_le_bytes(
-            self.buf[self.pos..self.pos + 4]
-                .try_into()
-                .expect("4-byte range"),
-        );
+        let Some(&word) = self.buf[self.pos..].first_chunk::<4>() else {
+            return Err(invalid(format!(
+                "truncated CNCCSR01 adjacency: slot {} of {} missing",
+                self.eid, self.total_dst
+            )));
+        };
         self.pos += 4;
-        Ok(Some(v))
+        Ok(Some(u32::from_le_bytes(word)))
     }
 }
 
@@ -745,7 +735,7 @@ impl RunReader {
                 path.display()
             )));
         }
-        let remaining = u64::from_le_bytes(header[8..16].try_into().expect("8-byte range"));
+        let remaining = le_word(&header, 1);
         Ok(Self {
             reader,
             remaining,
@@ -757,18 +747,20 @@ impl RunReader {
         if self.remaining == 0 {
             return Ok(None);
         }
-        let mut raw = [0u8; 8];
-        self.reader.read_exact(&mut raw).map_err(|e| {
-            invalid(format!(
-                "truncated spill run {}: {} pairs missing ({e})",
-                self.path.display(),
-                self.remaining
-            ))
-        })?;
+        let mut raw = [[0u8; 4]; 2];
+        self.reader
+            .read_exact(raw.as_flattened_mut())
+            .map_err(|e| {
+                invalid(format!(
+                    "truncated spill run {}: {} pairs missing ({e})",
+                    self.path.display(),
+                    self.remaining
+                ))
+            })?;
         self.remaining -= 1;
         Ok(Some((
-            u32::from_le_bytes(raw[..4].try_into().expect("4-byte range")),
-            u32::from_le_bytes(raw[4..].try_into().expect("4-byte range")),
+            u32::from_le_bytes(raw[0]),
+            u32::from_le_bytes(raw[1]),
         )))
     }
 }
@@ -776,44 +768,6 @@ impl RunReader {
 // ---------------------------------------------------------------------------
 // Two-pass CNCPREP4 assembly into a write-mode mapping.
 // ---------------------------------------------------------------------------
-
-fn put_u64(bytes: &mut [u8], at: usize, v: u64) {
-    bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(bytes: &mut [u8], at: usize, v: u32) {
-    bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
-}
-
-fn read_u32_at(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte range"))
-}
-
-/// Placement of one section inside the file.
-#[derive(Debug, Clone, Copy)]
-struct SectionPlan {
-    header_at: usize,
-    payload_at: usize,
-    payload_len: usize,
-    elem_width: u64,
-}
-
-fn plan_sections(lens_widths: &[(usize, u64)]) -> (Vec<SectionPlan>, usize) {
-    let mut pos = HEADER_LEN;
-    let mut plans = Vec::with_capacity(lens_widths.len());
-    for &(payload_len, elem_width) in lens_widths {
-        let header_at = pos;
-        let payload_at = pos + SECTION_HEADER_LEN;
-        plans.push(SectionPlan {
-            header_at,
-            payload_at,
-            payload_len,
-            elem_width,
-        });
-        pos = align_up(payload_at + payload_len);
-    }
-    (plans, pos)
-}
 
 /// Degree-count pass: one merge iteration.
 fn degree_pass(sorted: &SortedEdges, n: usize) -> io::Result<(Vec<u32>, usize)> {
@@ -828,60 +782,34 @@ fn degree_pass(sorted: &SortedEdges, n: usize) -> io::Result<(Vec<u32>, usize)> 
     Ok((deg, unique))
 }
 
-/// Replicate [`crate::stats::skew_percentage`] over the mapped sections —
-/// the same integer loops in the same order, so the resulting float is
-/// bit-identical to what the in-memory builder stores in the header.
-fn skew_pct_mapped(bytes: &[u8], deg: &[u32], dst_at: usize, threshold: u32) -> f64 {
-    let mut total = 0u64;
-    let mut skewed = 0u64;
-    let mut eid = 0usize;
-    for u in 0..deg.len() as u32 {
-        let du = deg[u as usize] as usize;
-        for _ in 0..du {
-            let v = read_u32_at(bytes, dst_at + eid * 4);
-            eid += 1;
-            if u < v {
-                total += 1;
-                let dv = deg[v as usize] as usize;
-                let (s, l) = if du < dv { (du, dv) } else { (dv, du) };
-                if s > 0 && l > threshold as usize * s {
-                    skewed += 1;
-                }
-            }
-        }
-    }
-    if total == 0 {
-        0.0
-    } else {
-        100.0 * skewed as f64 / total as f64
-    }
-}
-
-/// Write the offsets section (u64 prefix sums of `deg`) and return the
-/// cursor array (absolute element indices) the placement pass scatters
-/// through.
-fn write_offsets_section(bytes: &mut [u8], at: usize, deg: &[u32]) -> Vec<u64> {
-    let mut cursor = Vec::with_capacity(deg.len());
-    let mut acc = 0u64;
-    put_u64(bytes, at, 0);
-    for (u, &d) in deg.iter().enumerate() {
-        cursor.push(acc);
-        acc += d as u64;
-        put_u64(bytes, at + (u + 1) * 8, acc);
-    }
-    cursor
+/// The next section payload of the image as a typed view.
+fn next_view<'a, T: Pod>(
+    payloads: &mut impl Iterator<Item = &'a mut [u8]>,
+) -> io::Result<&'a mut [T]> {
+    cast_slice_mut(
+        payloads
+            .next()
+            .ok_or_else(|| invalid("section table exhausted"))?,
+    )
 }
 
 /// The streamed build core: consume `source` through an external sorter and
 /// assemble a complete `CNCPREP4` image at `out` via a growable write-mode
-/// mapping. Returns the summary; the caller owns tmp-name/rename protocol
-/// and metrics attribution.
+/// mapping, running the same step functions as the in-memory pipeline on
+/// typed views of the mapped sections. Returns the summary; the caller owns
+/// tmp-name/rename protocol and metrics attribution.
 fn build_to_path(
     mut source: Box<dyn EdgeSource + '_>,
     policy: ReorderPolicy,
     out: &Path,
     config: &StreamConfig,
 ) -> io::Result<StreamSummary> {
+    if !mmap::zero_copy_layout() {
+        return Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "the streamed writer needs a 64-bit little-endian host",
+        ));
+    }
     let mut peak = Peak::default();
     let mut sorter = ExternalSorter::new(config)?;
     let declared = source.declared_vertices();
@@ -901,64 +829,45 @@ fn build_to_path(
         .ok_or_else(|| invalid("directed edge count overflows"))?;
     peak.observe((deg.len() * 4) as u64 + sorted.resident_bytes());
 
-    // Fix the full file layout now that every section size is known.
+    // The degree pass fixed every section size. The mapping is created
+    // small and grown to the full layout — file bytes beyond the old length
+    // arrive zero-filled, which is exactly the zero padding the format
+    // requires.
     let reordered = matches!(policy, ReorderPolicy::DegreeDescending);
-    let mut lens: Vec<(usize, u64)> = vec![((n + 1) * 8, 8), (m_dir * 4, 4), (m_dir * 8, 8)];
-    if reordered {
-        lens.extend_from_slice(&[((n + 1) * 8, 8), (m_dir * 4, 4), (m_dir * 8, 8), (n * 4, 4)]);
-    }
-    let (plans, total) = plan_sections(&lens);
-
-    // The mapping is created small and grown once the degree pass has sized
-    // the sections — file bytes beyond the old length arrive zero-filled,
-    // which is exactly the zero padding the format requires.
+    let (sections, total) = prepare::layout(reordered, n, m_dir);
     let mut map = MappedFileMut::create(out, HEADER_LEN)?;
     map.grow(total)?;
-    {
-        let bytes = map.bytes_mut();
+    let mut payloads = prepare::payloads_mut(map.bytes_mut(), &sections).into_iter();
+    let offsets = next_view(&mut payloads)?;
+    let dst = next_view(&mut payloads)?;
+    let rev = next_view(&mut payloads)?;
 
-        // Original offsets + pass 2: direct placement of both directions.
-        let cursor = write_offsets_section(bytes, plans[0].payload_at, &deg);
-        let dst_at = plans[1].payload_at;
-        {
-            let mut cur = cursor.clone();
-            peak.observe((deg.len() * 4 + cursor.len() * 8 * 2) as u64 + sorted.resident_bytes());
-            for pair in sorted.iter()? {
-                let (u, v) = pair?;
-                put_u32(bytes, dst_at + cur[u as usize] as usize * 4, v);
-                cur[u as usize] += 1;
-                put_u32(bytes, dst_at + cur[v as usize] as usize * 4, u);
-                cur[v as usize] += 1;
-            }
-            // The merged stream is globally sorted, so every neighbor run
-            // was written ascending — no per-run sort pass.
-        }
-        write_rev_walk(bytes, dst_at, plans[2].payload_at, m_dir, cursor.clone());
+    // Pass 2: place both directions of every sorted pair. Each scatter and
+    // reverse walk holds one |V| cursor array.
+    prefix_offsets(deg.iter().map(|&d| d as usize), offsets);
+    drop(deg);
+    peak.observe((n * 8) as u64 + sorted.resident_bytes());
+    scatter_sorted_pairs(offsets, dst, sorted.iter()?)?;
+    reverse_index_into(offsets, dst, rev);
+    let header = Header {
+        policy,
+        reordered,
+        skew_pct: skew_pct(offsets, dst, SKEW_THRESHOLD),
+        max_degree: max_degree(offsets),
+    };
 
-        let max_degree = deg.iter().copied().max().unwrap_or(0) as u64;
-        let skew_pct = skew_pct_mapped(bytes, &deg, dst_at, SKEW_THRESHOLD);
-
-        if reordered {
-            relabel_sections(bytes, &plans, &deg, n, m_dir, &mut peak);
-        }
-
-        // Section checksums, then the header (whose checksum seals the
-        // statistics fields).
-        for p in &plans {
-            let ck = checksum(&bytes[p.payload_at..p.payload_at + p.payload_len]);
-            put_u64(bytes, p.header_at, p.payload_len as u64);
-            put_u64(bytes, p.header_at + 8, ck);
-            put_u64(bytes, p.header_at + 16, p.elem_width);
-        }
-        bytes[..8].copy_from_slice(PREPARED_MAGIC);
-        bytes[8] = policy.byte();
-        bytes[9] = reordered as u8;
-        put_u64(bytes, 16, plans.len() as u64);
-        put_u64(bytes, 24, skew_pct.to_bits());
-        put_u64(bytes, 32, max_degree);
-        let hcheck = checksum(&bytes[..56]);
-        put_u64(bytes, 56, hcheck);
+    if reordered {
+        let relabeled_offsets = next_view(&mut payloads)?;
+        let relabeled_dst = next_view(&mut payloads)?;
+        let relabeled_rev = next_view(&mut payloads)?;
+        let new_to_old = next_view(&mut payloads)?;
+        degree_order(offsets, new_to_old);
+        // The old→new inverse is the relabel's only |V| scratch.
+        relabel_into(offsets, dst, new_to_old, relabeled_offsets, relabeled_dst);
+        reverse_index_into(relabeled_offsets, relabeled_dst, relabeled_rev);
     }
+
+    seal_image(map.bytes_mut(), &sections, &header);
     let file = map.into_file();
     file.sync_all()?;
     drop(file);
@@ -977,91 +886,6 @@ fn build_to_path(
         m.peak_resident_bytes += summary.peak_resident_bytes;
     });
     Ok(summary)
-}
-
-/// Reverse-index cursor walk (`rev[e(u,v)] = cursor[v]++`) over the mapped
-/// dst section, writing `m_dir` u64 slots.
-fn write_rev_walk(
-    bytes: &mut [u8],
-    dst_at: usize,
-    rev_at: usize,
-    m_dir: usize,
-    mut cursor: Vec<u64>,
-) {
-    for eid in 0..m_dir {
-        let v = read_u32_at(bytes, dst_at + eid * 4) as usize;
-        put_u64(bytes, rev_at + eid * 8, cursor[v]);
-        cursor[v] += 1;
-    }
-}
-
-/// Assemble the relabeled sections (offsets / dst / rev / new→old) for the
-/// degree-descending policy, replicating [`crate::reorder::degree_descending`]
-/// exactly: sort vertices by (degree descending, old id ascending), relabel
-/// each neighbor run through the inverse permutation, sort the single run.
-/// Peak scratch is O(|V|) plus one max-degree run buffer.
-fn relabel_sections(
-    bytes: &mut [u8],
-    plans: &[SectionPlan],
-    deg: &[u32],
-    n: usize,
-    m_dir: usize,
-    peak: &mut Peak,
-) {
-    let mut new_to_old: Vec<u32> = (0..n as u32).collect();
-    new_to_old.sort_by(|&a, &b| {
-        deg[b as usize]
-            .cmp(&deg[a as usize])
-            .then_with(|| a.cmp(&b))
-    });
-    let mut old_to_new = vec![0u32; n];
-    for (new_id, &old_id) in new_to_old.iter().enumerate() {
-        old_to_new[old_id as usize] = new_id as u32;
-    }
-    let max_degree = deg.iter().copied().max().unwrap_or(0) as usize;
-    peak.observe((deg.len() * 4 + n * 8 + n * 8 + n * 8 + max_degree * 4) as u64);
-
-    // Relabeled offsets: prefix sums of permuted degrees; the returned
-    // cursor drives the rev walk below.
-    let mut deg2 = Vec::with_capacity(n);
-    for &old_id in &new_to_old {
-        deg2.push(deg[old_id as usize]);
-    }
-    let cursor2 = write_offsets_section(bytes, plans[3].payload_at, &deg2);
-
-    // Relabeled adjacency: map each original run through old→new, sort it.
-    let (src_dst_at, dst2_at) = (plans[1].payload_at, plans[4].payload_at);
-    let mut run: Vec<u32> = Vec::with_capacity(max_degree);
-    let mut old_start = vec![0u64; n];
-    {
-        let mut acc = 0u64;
-        for (u, &d) in deg.iter().enumerate() {
-            old_start[u] = acc;
-            acc += d as u64;
-        }
-    }
-    let mut write_at = dst2_at;
-    for &old_u in &new_to_old {
-        let d = deg[old_u as usize] as usize;
-        let base = src_dst_at + old_start[old_u as usize] as usize * 4;
-        run.clear();
-        for k in 0..d {
-            let v = read_u32_at(bytes, base + k * 4);
-            run.push(old_to_new[v as usize]);
-        }
-        run.sort_unstable();
-        for &v in &run {
-            put_u32(bytes, write_at, v);
-            write_at += 4;
-        }
-    }
-
-    write_rev_walk(bytes, dst2_at, plans[5].payload_at, m_dir, cursor2);
-
-    let nto_at = plans[6].payload_at;
-    for (i, &old_id) in new_to_old.iter().enumerate() {
-        put_u32(bytes, nto_at + i * 4, old_id);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1120,54 +944,12 @@ pub fn prepare_pairs_to_file(
     build_to_path(source, policy, out, config)
 }
 
-/// Build an owned in-heap [`CsrGraph`] through the budgeted external sort —
-/// the bounded-memory replacement for
-/// [`crate::CsrGraph::from_edge_list_parallel`] that
-/// [`crate::datasets::Dataset::build`] switches to when
-/// [`PREP_MEM_BYTES_ENV`] is set. Produces exactly the same CSR.
-pub fn build_csr_bounded(
-    declared_vertices: usize,
-    pairs: impl Iterator<Item = (u32, u32)>,
-    config: &StreamConfig,
-) -> io::Result<CsrGraph> {
-    let mut sorter = ExternalSorter::new(config)?;
-    for (u, v) in pairs {
-        sorter.push(u, v)?;
-    }
-    let cap_bytes = (sorter.cap * 8) as u64;
-    let sorted = sorter.into_sorted()?;
-    let n = sorted.max_id_plus1().max(declared_vertices);
-    let (deg, unique) = degree_pass(&sorted, n)?;
-    let mut peak = Peak::default();
-    peak.observe(cap_bytes);
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut acc = 0usize;
-    offsets.push(0);
-    for &d in &deg {
-        acc += d as usize;
-        offsets.push(acc);
-    }
-    let mut dst = vec![0u32; unique * 2];
-    let mut cursor: Vec<usize> = offsets[..n].to_vec();
-    peak.observe((deg.len() * 4 + offsets.len() * 8 + cursor.len() * 8 + dst.len() * 4) as u64);
-    for pair in sorted.iter()? {
-        let (u, v) = pair?;
-        dst[cursor[u as usize]] = v;
-        cursor[u as usize] += 1;
-        dst[cursor[v as usize]] = u;
-        cursor[v as usize] += 1;
-    }
-    bump(|m| m.peak_resident_bytes += peak.peak);
-    CsrGraph::try_from_stores_structural(offsets.into(), dst.into())
-        .map_err(|e| invalid(format!("streamed CSR failed validation: {e}")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
     use crate::prepare::{read_prepared, write_prepared, PreparedGraph};
-    use crate::EdgeList;
+    use crate::{CsrGraph, EdgeList};
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
@@ -1311,19 +1093,6 @@ mod tests {
         assert_eq!(back.graph(), pg.graph());
         for p in [text_in, text_out, bin_in, bin_out] {
             let _ = fs::remove_file(&p);
-        }
-    }
-
-    #[test]
-    fn bounded_csr_matches_parallel_builder() {
-        for el in [
-            generators::chung_lu(250, 10.0, 2.2, 5),
-            generators::gnm(300, 1100, 8),
-            EdgeList::new(0),
-        ] {
-            let want = CsrGraph::from_edge_list_parallel(&el);
-            let got = build_csr_bounded(el.num_vertices, el.iter(), &tiny_config(4096)).unwrap();
-            assert_eq!(got, want);
         }
     }
 

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use cnc_graph::datasets::{Dataset, Scale};
 use cnc_graph::prepare::{self, cache_path, prepared_on_disk, write_prepared};
 use cnc_graph::stream::{self, StreamConfig};
-use cnc_graph::{CsrGraph, EdgeList, PreparedGraph, ReorderPolicy};
+use cnc_graph::{EdgeList, PreparedGraph, ReorderPolicy};
 use proptest::prelude::*;
 
 static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -96,9 +96,6 @@ fn env_budget_routes_cache_build_through_streamer() {
     let before = prepare::metrics();
     let streamed = prepared_on_disk(&dir, dataset, Scale::Tiny, policy);
     let work = prepare::metrics().since(&before);
-
-    // Also exercise the plain-CSR routing while the budget is set.
-    let built = dataset.build(Scale::Tiny);
     std::env::remove_var(stream::PREP_MEM_BYTES_ENV);
 
     assert_eq!(work.graph_builds, 1, "cold streamed build counts once");
@@ -120,7 +117,6 @@ fn env_budget_routes_cache_build_through_streamer() {
     assert_eq!(streamed.skew_pct(), unbudgeted.skew_pct());
     assert_eq!(streamed.stats(), unbudgeted.stats());
     assert_eq!(streamed.capacity_scale(), unbudgeted.capacity_scale());
-    assert_eq!(built, *unbudgeted.graph(), "Dataset::build under budget");
 
     // Warm load (no env): the streamed file serves like any cache file.
     let before = prepare::metrics();
@@ -216,15 +212,5 @@ proptest! {
             memory_image(&el, policy)
         );
         let _ = fs::remove_file(&out);
-    }
-
-    /// The owned-CSR route used by `Dataset::build` under a budget.
-    #[test]
-    fn bounded_csr_matches_parallel_builder(ps in pairs(48, 250), budget in 1u64..4096) {
-        let el = EdgeList::from_pairs(ps.iter().copied());
-        let want = CsrGraph::from_edge_list_parallel(&el);
-        let got = stream::build_csr_bounded(0, ps.iter().copied(), &budgeted(budget))
-            .expect("bounded build must succeed");
-        prop_assert_eq!(got, want);
     }
 }

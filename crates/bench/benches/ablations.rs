@@ -139,7 +139,9 @@ fn ablation_lanes(c: &mut Criterion) {
 /// one realistic probe workload (index one hub list, probe many small
 /// lists).
 fn ablation_index(c: &mut Criterion) {
-    use cnc_intersect::{bmp_count, bsr_count, hash_count, merge_count, Bitmap, BsrSet, HashIndex};
+    use cnc_bench::bsr::{bsr_count, BsrSet};
+    use cnc_bench::hash_index::{hash_count, HashIndex};
+    use cnc_intersect::{bmp_count, merge_count, Bitmap};
     let g = reorder::degree_descending(&Dataset::TwS.build(Scale::Tiny)).graph;
     // Index the largest-degree vertex's neighbors, probe with the neighbor
     // lists of its neighbors (exactly BMP's access pattern for one block).

@@ -60,11 +60,11 @@ fn bench_bmp_probe(c: &mut Criterion) {
 }
 
 /// Isolated galloping search: lower bounds of scattered targets, each tier.
-/// Two haystack sizes tell two different stories: a 4MB (1M-element) array
-/// is cache-resident, so per-step overhead dominates and the branchy scalar
-/// gallop is hard to beat; a 128MB (32M-element) array is DRAM-resident,
-/// where the 8-pivot gather issues its probes as parallel misses instead of
-/// a serial dependency chain — the case the wide phase exists for.
+/// The tiers differ only in the 16-element linear prefix; the exponential
+/// phase and final window are the same scalar tail everywhere. A 4MB
+/// (1M-element) array is cache-resident, a 128MB (32M-element) one
+/// DRAM-resident, where the tail's dependent probes are cache misses and
+/// the prefix's share of the time shrinks.
 fn bench_gallop(c: &mut Criterion) {
     for (label, len) in [("1m", 1_000_000usize), ("32m", 32_000_000)] {
         let mut rng = StdRng::seed_from_u64(12);
@@ -93,7 +93,7 @@ fn bench_gallop(c: &mut Criterion) {
 
 /// End-to-end single-thread runs on the scaled paper graphs: the whole BMP
 /// and MPS pipelines with the process tier forced, so every dispatch site
-/// (bitmap probes, gallop, VB blocks, linear prefix) switches together.
+/// (bitmap probes, VB blocks, linear prefix) switches together.
 fn bench_end_to_end(c: &mut Criterion) {
     let seq = ParConfig::sequential();
     for dataset in [Dataset::TwS, Dataset::LjS] {

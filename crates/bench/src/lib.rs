@@ -4,12 +4,16 @@
 //! `repro` binary drives them and prints the same rows/series the paper
 //! reports. Criterion benches (in `benches/`) measure real wall-clock of
 //! the kernels and drivers on the host; the experiment modules here produce
-//! the *modeled* cross-processor results.
+//! the *modeled* cross-processor results. [`bsr`] and [`hash_index`] are the
+//! related-work intersection baselines the `ablation_index` bench compares
+//! the engine's bitmap against; the engine itself never runs them.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod bsr;
 pub mod experiments;
+pub mod hash_index;
 pub mod output;
 pub mod profiles;
 

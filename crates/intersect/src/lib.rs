@@ -28,8 +28,9 @@
 //! operation counts which the machine models (`cnc-machine`) turn into
 //! modeled elapsed times for the simulated KNL and GPU processors.
 //!
-//! Wide-vector hot loops (BMP word probes, the galloping stages, VB block
-//! compares) dispatch on a process-wide [`SimdTier`] resolved once from the
+//! Wide-vector hot loops (BMP word probes, the linear-search prefix of the
+//! galloping lower bound, VB block compares) dispatch on a process-wide
+//! [`SimdTier`] resolved once from the
 //! `CNC_SIMD` environment variable / `--simd` CLI flag / host detection.
 //! Forcing `scalar` runs the bit-pinned oracle loops; `portable` runs the
 //! same 8-wide block shape without vector instructions; `avx2`/`avx512` use
@@ -58,12 +59,11 @@
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), warn(clippy::expect_used))]
 
 mod bitmap;
-mod bsr;
 mod collect;
 mod cost;
-mod hash_index;
 mod kernel;
 mod merge;
 mod meter;
@@ -75,10 +75,8 @@ mod simd;
 mod vb;
 
 pub use bitmap::{bmp_count, bmp_count_tier, Bitmap};
-pub use bsr::{bsr_count, bsr_intersect, BsrSet};
 pub use collect::{merge_collect, mps_collect, ps_collect};
 pub use cost::CostModel;
-pub use hash_index::{hash_count, HashIndex};
 pub use kernel::{BmpKernel, MergeKernel, MpsKernel, PairKernel, RfKernel};
 pub use merge::merge_count;
 pub use meter::{CountingMeter, Meter, NullMeter, WorkCounts};

@@ -6,15 +6,11 @@
 //! exponentially growing skips starting at 2⁴ (Baeza-Yates / Demaine et al.),
 //! and finally a lower bound inside the last gallop window.
 //!
-//! At the wide [`SimdTier`]s the gallop stages are themselves vectorized:
-//! the exponential phase probes the next **8 pivot positions per step** with
-//! one 8-wide gather + compare (covering up to `skip·255` elements per
-//! step), and the final window is halved branchlessly to ≤16 elements and
-//! resolved with a single masked vector compare instead of a branchy binary
-//! search. The scalar staged loop is kept verbatim as the oracle
-//! (`SimdTier::Scalar`), and every tier reports identical
-//! architecture-neutral meter events — the vector phases compute the same
-//! `steps`/`probes` tallies the scalar loop would have counted, so the
+//! Only the linear prefix dispatches on [`SimdTier`]: at the AVX2/AVX-512
+//! tiers it is two 8-lane compares. The exponential phase and the final
+//! window are one scalar tail at every tier — a serial chain of dependent
+//! probes that vector gathers measured slower on, not faster. Every tier
+//! therefore reports identical architecture-neutral meter events, so the
 //! modeled platforms are unaffected by the host's tier.
 
 use crate::meter::Meter;
@@ -26,11 +22,8 @@ use crate::simd::SimdTier;
 /// the same 2⁴ threshold at which the paper starts galloping.
 pub const LINEAR_PREFIX: usize = 16;
 
-/// First galloping skip is `2^GALLOP_FIRST_SHIFT`, matching the paper's 2⁴.
-const GALLOP_FIRST_SHIFT: u32 = 4;
-
-/// Pivots probed per vectorized exponential-phase step.
-const GALLOP_PIVOTS: usize = 8;
+/// First galloping skip, matching the paper's 2⁴.
+const GALLOP_FIRST_SKIP: usize = 1 << 4;
 
 /// Branchless binary lower bound: smallest index `i` with `a[i] >= target`,
 /// or `a.len()` if no such element exists.
@@ -158,10 +151,9 @@ pub fn gallop_lower_bound<M: Meter>(a: &[u32], start: usize, target: u32, meter:
 /// [`gallop_lower_bound`] at an explicit [`SimdTier`] — lets benchmarks and
 /// differential tests sweep tiers inside one process.
 ///
-/// The architecture-neutral meter events are identical at every tier: the
-/// wide exponential phase tallies the `steps` the scalar loop would have
-/// executed (passed windows + the breaking probe), and the final window
-/// reports the same `ilog2(len)+1` probe count as the scalar binary search.
+/// The tier only picks how the 16-element linear prefix is scanned; the
+/// exponential phase and the final window are the one scalar tail at every
+/// tier, so the architecture-neutral meter events are identical.
 #[inline]
 pub fn gallop_lower_bound_tier<M: Meter>(
     a: &[u32],
@@ -178,21 +170,21 @@ pub fn gallop_lower_bound_tier<M: Meter>(
         return idx;
     }
     // The linear prefix (16 = 2^4 elements) was all < target.
-    let lo = start + LINEAR_PREFIX;
-    // The gather path uses signed 32-bit offsets; arrays that large fall
-    // back to the scalar oracle (never hit by u32-vertex neighbor lists).
-    if tier == SimdTier::Scalar || a.len() > i32::MAX as usize {
-        gallop_tail_scalar(a, lo, target, meter)
-    } else {
-        gallop_tail_wide(a, lo, target, tier, meter)
-    }
+    gallop_tail_scalar(a, start + LINEAR_PREFIX, GALLOP_FIRST_SKIP, target, meter)
 }
 
-/// The scalar exponential phase + branchless binary search — the bit-pinned
-/// oracle for [`gallop_tail_wide`] and the `SimdTier::Scalar` path.
-fn gallop_tail_scalar<M: Meter>(a: &[u32], start_lo: usize, target: u32, meter: &mut M) -> usize {
+/// The exponential phase (skips `first_skip, 2·first_skip, …` from `start_lo`)
+/// followed by a branchless binary search inside the last gallop window.
+#[inline]
+fn gallop_tail_scalar<M: Meter>(
+    a: &[u32],
+    start_lo: usize,
+    first_skip: usize,
+    target: u32,
+    meter: &mut M,
+) -> usize {
     let mut lo = start_lo; // first unchecked index
-    let mut skip = 1usize << GALLOP_FIRST_SHIFT;
+    let mut skip = first_skip;
     let mut steps = 0u64;
     loop {
         steps += 1;
@@ -217,128 +209,6 @@ fn gallop_tail_scalar<M: Meter>(a: &[u32], start_lo: usize, target: u32, meter: 
     lo + w
 }
 
-/// The wide exponential phase: probe the next [`GALLOP_PIVOTS`] gallop pivot
-/// positions with one gather + compare per step, then resolve the bracketing
-/// window with a masked vector compare.
-///
-/// Pivot `k` of a step sits where scalar iteration `k` would probe:
-/// `lo + skip·(2^(k+1) − 1) − 1`. For sorted input the pass lanes form a
-/// prefix, so the pass count `c` identifies the bracketing window directly:
-/// `c = 8` consumes all 8 windows (advance `lo` by `skip·255`, scale `skip`
-/// by 256 and repeat — each step covers 255× more than the last), while
-/// `c < 8` means the target lies in window `c`.
-fn gallop_tail_wide<M: Meter>(
-    a: &[u32],
-    start_lo: usize,
-    target: u32,
-    tier: SimdTier,
-    meter: &mut M,
-) -> usize {
-    let len = a.len() as u64;
-    let mut lo = start_lo as u64;
-    let mut skip = 1u64 << GALLOP_FIRST_SHIFT;
-    let mut steps = 0u64;
-    let mut blocks = 0u64;
-    let (win_lo, win_len) = loop {
-        let mut idx = [0i32; GALLOP_PIVOTS];
-        let mut nvalid = 0u32;
-        for (k, slot) in idx.iter_mut().enumerate() {
-            let p = lo + skip * ((1u64 << (k + 1)) - 1) - 1;
-            if p < len {
-                nvalid = k as u32 + 1;
-                *slot = p as i32;
-            } else {
-                // Clamp for the gather; masked off via `nvalid`.
-                *slot = (len - 1) as i32;
-            }
-        }
-        let c = count_pass(a, &idx, nvalid, target, tier);
-        blocks += 1;
-        if c as usize == GALLOP_PIVOTS {
-            // All 8 probes passed — the scalar loop would have taken these
-            // 8 iterations and kept going.
-            steps += GALLOP_PIVOTS as u64;
-            lo += skip * 255;
-            skip *= 256;
-            continue;
-        }
-        // c passed iterations plus the breaking probe.
-        steps += c as u64 + 1;
-        let wl = lo + skip * ((1u64 << c) - 1);
-        let ws = skip << c;
-        break (wl, ws.min(len - wl));
-    };
-    meter.scalar_ops(steps);
-    meter.rand_accesses(steps);
-    let window = &a[win_lo as usize..(win_lo + win_len) as usize];
-    let probes = (window.len().max(1)).ilog2() as u64 + 1;
-    meter.scalar_ops(probes);
-    meter.rand_accesses(probes);
-    let w = resolve_window(window, target, tier, &mut blocks);
-    meter.simd_blocks(blocks);
-    win_lo as usize + w
-}
-
-/// Pass count of one pivot block: how many *leading* pivots satisfy
-/// `k < nvalid && a[idx[k]] < target`.
-#[inline]
-fn count_pass(
-    a: &[u32],
-    idx: &[i32; GALLOP_PIVOTS],
-    nvalid: u32,
-    target: u32,
-    tier: SimdTier,
-) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if tier.use_avx2() {
-            // SAFETY: `use_avx2` re-checks host support; every index is
-            // clamped below `a.len()`, which the caller bounds by i32::MAX.
-            return unsafe { crate::simd::gather_count_less_than_8(a, idx, nvalid, target) };
-        }
-    }
-    let _ = tier;
-    // Portable: the pass lanes form a prefix, so stop at the first failing
-    // probe — lanes past it cannot change the count, and skipping them
-    // avoids the far-away wasted reads a real gather has to issue.
-    let mut c = 0u32;
-    while c < nvalid && a[idx[c as usize] as usize] < target {
-        c += 1;
-    }
-    c
-}
-
-/// Lower bound inside the final gallop window: halve branchlessly until at
-/// most 16 candidates remain, then count them with one masked vector compare
-/// (or the portable equivalent) instead of finishing the binary search.
-fn resolve_window(window: &[u32], target: u32, tier: SimdTier, blocks: &mut u64) -> usize {
-    let mut base = 0usize;
-    let mut size = window.len();
-    while size > LINEAR_PREFIX {
-        let half = size / 2;
-        let mid = base + half;
-        // Invariant: the lower bound stays within [base, base + size].
-        if window[mid] < target {
-            base = mid;
-        }
-        size -= half;
-    }
-    let sub = &window[base..base + size];
-    if sub.is_empty() {
-        return base;
-    }
-    *blocks += 1;
-    #[cfg(target_arch = "x86_64")]
-    {
-        if tier.use_avx2() {
-            // SAFETY: `use_avx2` re-checks host support; 1 <= len <= 16.
-            return base + unsafe { count_less_than_upto_16(sub, target) };
-        }
-    }
-    let _ = tier;
-    base + sub.iter().filter(|&&x| x < target).count()
-}
-
 /// Galloping lower bound *without* the vectorized linear-search prefix —
 /// the ablation comparator for the staged search (pure
 /// Baeza-Yates/Demaine-style gallop from the first element).
@@ -353,27 +223,7 @@ pub fn gallop_lower_bound_no_prefix<M: Meter>(
     if start >= a.len() {
         return a.len();
     }
-    let mut lo = start;
-    let mut skip = 1usize;
-    let mut steps = 0u64;
-    loop {
-        steps += 1;
-        let probe = lo + skip - 1;
-        if probe >= a.len() || a[probe] >= target {
-            break;
-        }
-        lo += skip;
-        skip <<= 1;
-    }
-    meter.scalar_ops(steps);
-    meter.rand_accesses(steps);
-    let hi = a.len().min(lo + skip);
-    let window = &a[lo..hi];
-    let w = lower_bound(window, target);
-    let probes = (window.len().max(1)).ilog2() as u64 + 1;
-    meter.scalar_ops(probes);
-    meter.rand_accesses(probes);
-    lo + w
+    gallop_tail_scalar(a, start, 1, target, meter)
 }
 
 #[cfg(test)]
@@ -456,8 +306,8 @@ mod tests {
     #[test]
     fn gallop_all_tiers_agree_with_scalar() {
         // Targets landing in every phase: linear prefix, first/late
-        // exponential windows, past-the-end, plus multi-step gallops that
-        // exhaust one full 8-pivot block (needs > 16·255 elements).
+        // exponential windows, past-the-end, plus long gallops of more than
+        // eight exponential steps (> 16·255 elements from the start).
         let a: Vec<u32> = (0..10_000).map(|x| x * 3 + 7).collect();
         let mut m = NullMeter;
         for start in [0usize, 1, 13, 16, 17, 100, 5000, 9999, 10_000] {
@@ -476,8 +326,8 @@ mod tests {
 
     #[test]
     fn gallop_meter_events_are_tier_invariant() {
-        // The wide exponential phase must tally exactly the steps/probes the
-        // scalar loop counts, so the machine models see identical work.
+        // Every tier must tally exactly the steps/probes the scalar loop
+        // counts, so the machine models see identical work.
         let a: Vec<u32> = (0..50_000).map(|x| x * 2).collect();
         for t in [40u32, 700, 5_000, 33_333, 99_998, 100_000, 200_000] {
             let mut ms = CountingMeter::new();
@@ -502,6 +352,31 @@ mod tests {
                     ms.counts.seq_bytes, mw.counts.seq_bytes,
                     "t={t} tier={tier:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn gallop_tail_issues_no_vector_blocks() {
+        // Only the linear prefix may count a vector block: the exponential
+        // phase and the final window are the one scalar tail at every tier.
+        // Near targets end inside the prefix, far ones gallop to the end.
+        let a: Vec<u32> = (0..50_000).map(|x| x * 2).collect();
+        let targets = [
+            0u32, 10, 31, 40, 700, 5_000, 33_333, 99_998, 100_000, 200_000,
+        ];
+        for start in [0usize, 49_990, 50_000] {
+            for t in targets {
+                for tier in SimdTier::ALL {
+                    let mut m = CountingMeter::new();
+                    gallop_lower_bound_tier(&a, start, t, tier, &mut m);
+                    let prefix_ran = start < a.len();
+                    let want = u64::from(prefix_ran && tier.use_avx2());
+                    assert_eq!(
+                        m.counts.simd_blocks, want,
+                        "start={start} t={t} tier={tier:?}"
+                    );
+                }
             }
         }
     }
@@ -545,8 +420,8 @@ mod tests {
 
     #[test]
     fn gallop_high_bit_values_all_tiers() {
-        // Values above i32::MAX exercise the unsigned-compare bias in both
-        // the gather compare and the masked window compare.
+        // Values above i32::MAX exercise the unsigned-compare bias in the
+        // vector prefix compare.
         let a: Vec<u32> = (0..2000).map(|x| u32::MAX - 4000 + x * 2).collect();
         let mut m = NullMeter;
         for t in [

@@ -511,47 +511,11 @@ mod x86 {
         }
         (hits, blocks, tail.len() as u64)
     }
-
-    /// Gather `a[idx[k]]` for 8 indices and return how many *leading* lanes
-    /// satisfy `k < nvalid && a[idx[k]] < target`.
-    ///
-    /// Used by the galloping exponential phase: the indices are the probe
-    /// positions of 8 consecutive scalar gallop iterations (clamped into
-    /// bounds; lanes at or past `a.len()` are excluded via `nvalid`). For
-    /// sorted input the pass lanes form a prefix, so the count tells the
-    /// caller exactly which gallop window the target falls in.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 is available, every `idx[k] < a.len()`, and
-    /// `a.len() <= i32::MAX as usize` (gather offsets are signed 32-bit).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gather_count_less_than_8(
-        a: &[u32],
-        idx: &[i32; 8],
-        nvalid: u32,
-        target: u32,
-    ) -> u32 {
-        debug_assert!(nvalid <= 8);
-        // SAFETY: caller guarantees all 8 indices are in bounds for `a`.
-        unsafe {
-            let iv = _mm256_loadu_si256(idx.as_ptr().cast());
-            let vals = _mm256_i32gather_epi32::<4>(a.as_ptr().cast::<i32>(), iv);
-            let bias = _mm256_set1_epi32(i32::MIN);
-            let tb = _mm256_xor_si256(_mm256_set1_epi32(target as i32), bias);
-            let vb = _mm256_xor_si256(vals, bias);
-            let lt = _mm256_cmpgt_epi32(tb, vb);
-            let m = _mm256_movemask_ps(_mm256_castsi256_ps(lt)) as u32;
-            // Keep only valid lanes, then count the contiguous pass prefix.
-            let m = m & ((1u32 << nvalid) - 1);
-            m.trailing_ones()
-        }
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) use x86::{
     block_pairs_eq_16, block_pairs_eq_8, bmp_count_avx2, bmp_count_avx512, count_less_than_16,
-    gather_count_less_than_8,
 };
 
 #[cfg(test)]
@@ -665,23 +629,5 @@ mod tests {
         let want = a.iter().filter(|x| b.contains(x)).count() as u32;
         let got = unsafe { block_pairs_eq_16(&a, &b) };
         assert_eq!(got, want);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn gather_count_prefix_semantics() {
-        if !avx2_available() {
-            return;
-        }
-        let a: Vec<u32> = (0..100).map(|x| x * 2).collect();
-        let idx = [0i32, 3, 7, 15, 31, 63, 90, 99];
-        for t in [0u32, 1, 15, 40, 128, 200, 500] {
-            let want = idx.iter().take_while(|&&i| a[i as usize] < t).count() as u32;
-            let got = unsafe { gather_count_less_than_8(&a, &idx, 8, t) };
-            assert_eq!(got, want, "t={t}");
-        }
-        // nvalid masks off trailing lanes.
-        let got = unsafe { gather_count_less_than_8(&a, &idx, 3, u32::MAX) };
-        assert_eq!(got, 3);
     }
 }

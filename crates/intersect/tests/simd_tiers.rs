@@ -95,8 +95,8 @@ proptest! {
     }
 
     /// Galloping lower bound: every tier lands on the same index as the
-    /// scalar oracle from every start offset, so the exponential phase, the
-    /// multi-step wide phase, and the final window resolution all agree.
+    /// scalar oracle from every start offset, whether the search ends in the
+    /// linear prefix, the exponential phase or the final window.
     #[test]
     fn gallop_tiers_bit_identical(
         a in sorted_set(1 << 20, 600),
@@ -180,14 +180,14 @@ proptest! {
 
 /// Deterministic gallop sweep: targets placed to stop the search in every
 /// phase — inside the 16-element linear prefix, in each of the first few
-/// exponential steps of the wide phase (8 pivots per step, skip ×256 per
-/// full step), and past the end of the array.
+/// exponential steps, after long runs of steps, and past the end of the
+/// array.
 #[test]
 fn gallop_every_phase_deterministic() {
     let a: Vec<u32> = (0..200_000u32).map(|x| x * 3).collect();
     let starts = [0usize, 1, 7, 15, 16, 17, 100, 199_990, 199_999, 200_000];
-    // Distances from start chosen to land in: prefix (0..16), first wide
-    // step (16..16+15*skip), deep multi-step territory (>16*255), and OOB.
+    // Distances from start chosen to land in: prefix (0..16), the first
+    // exponential steps, more than eight steps out (>16*255), and OOB.
     let distances = [0usize, 1, 15, 16, 17, 100, 1_000, 5_000, 70_000, 500_000];
     let mut m = NullMeter;
     for &start in &starts {

@@ -17,7 +17,8 @@ use cnc_core::WorkloadKind::Cnc;
 use cnc_cpu::{BmpMode, CpuKernel, ParConfig};
 use cnc_graph::datasets::{Dataset, Scale};
 use cnc_intersect::{
-    bmp_count_tier, gallop_lower_bound_tier, Bitmap, MpsConfig, NullMeter, SimdTier,
+    bmp_count_tier, gallop_lower_bound_tier, rf_count_tier, Bitmap, MpsConfig, NullMeter, RfBitmap,
+    SimdTier,
 };
 
 fn sorted_set(rng: &mut StdRng, len: usize, universe: u32) -> Vec<u32> {
@@ -54,6 +55,33 @@ fn bench_bmp_probe(c: &mut Criterion) {
             BenchmarkId::new("bmp_count", tier.label()),
             &tier,
             |bench, &tier| bench.iter(|| bmp_count_tier(&bm, &probe, tier, &mut NullMeter)),
+        );
+    }
+    group.finish();
+}
+
+/// Isolated BMP-RF probe loop: the same 4096-element probe array through a
+/// range-filtered bitmap at the paper's ratio of 4096, each tier. The
+/// indexed set is one dense cluster plus a sparse scatter, so about one
+/// key in eight passes the filter: most 16-key steps hit a few lanes and
+/// need a masked big gather, and some are wholly filtered.
+fn bench_rf_probe(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(13);
+    let n = 1_000_000usize;
+    let mut indexed = sorted_set(&mut rng, 30, n as u32);
+    indexed.extend(200_000..210_000u32);
+    indexed.sort_unstable();
+    indexed.dedup();
+    let probe = sorted_set(&mut rng, 4096, n as u32);
+    let mut rf = RfBitmap::with_ratio(n, 4096);
+    rf.set_list(&indexed, &mut NullMeter);
+    let mut group = c.benchmark_group("simd_rf_probe_4096");
+    group.throughput(Throughput::Elements(probe.len() as u64));
+    for tier in host_tiers() {
+        group.bench_with_input(
+            BenchmarkId::new("rf_count", tier.label()),
+            &tier,
+            |bench, &tier| bench.iter(|| rf_count_tier(&rf, &probe, tier, &mut NullMeter)),
         );
     }
     group.finish();
@@ -110,6 +138,12 @@ fn bench_end_to_end(c: &mut Criterion) {
                     bench.iter(|| CpuKernel::Bmp(BmpMode::Plain).execute(&g, Cnc, &seq, false))
                 },
             );
+            let rf = BmpMode::rf_scaled(g.num_vertices());
+            group.bench_with_input(
+                BenchmarkId::new("seq_bmp_rf", tier.label()),
+                &tier,
+                |bench, _| bench.iter(|| CpuKernel::Bmp(rf).execute(&g, Cnc, &seq, false)),
+            );
             group.bench_with_input(
                 BenchmarkId::new("seq_mps", tier.label()),
                 &tier,
@@ -128,6 +162,6 @@ fn bench_end_to_end(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30).warm_up_time(Duration::from_millis(500)).measurement_time(Duration::from_secs(2));
-    targets = bench_bmp_probe, bench_gallop, bench_end_to_end
+    targets = bench_bmp_probe, bench_rf_probe, bench_gallop, bench_end_to_end
 }
 criterion_main!(benches);

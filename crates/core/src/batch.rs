@@ -25,7 +25,7 @@
 //! estimate whole passes and have no point-query entry
 //! ([`PlanError::UnsupportedBatchPlatform`]).
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use cnc_cpu::{BatchCounter, PoolStats, SchedulePolicy};
 use cnc_graph::PreparedGraph;
@@ -199,7 +199,7 @@ impl BatchSession {
     /// first use via this session's runner.
     fn bulk_counts(&self) -> Arc<Vec<u32>> {
         {
-            let cached = self.bulk.lock().expect("bulk lock poisoned");
+            let cached = self.bulk.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(c) = cached.as_ref() {
                 return Arc::clone(c);
             }
@@ -212,7 +212,9 @@ impl BatchSession {
             .try_run_prepared(&self.prepared)
             .expect("session plan already validated");
         let counts = Arc::new(run.into_counts());
-        let mut cached = self.bulk.lock().expect("bulk lock poisoned");
+        // The cache is read or set whole under the lock, so a poisoned
+        // mutex still holds either nothing or complete counts.
+        let mut cached = self.bulk.lock().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(cached.get_or_insert(counts))
     }
 
@@ -361,6 +363,27 @@ mod tests {
             stats.created
         );
         assert!(stats.reused > 0);
+    }
+
+    #[test]
+    fn poisoned_bulk_lock_still_serves_topk() {
+        let (s, _) = session(Algorithm::mps());
+        let s = Arc::new(s);
+        let want = s.topk(5);
+        for cached in [true, false] {
+            if !cached {
+                *s.bulk.lock().unwrap_or_else(PoisonError::into_inner) = None;
+            }
+            let holder = Arc::clone(&s);
+            let poisoner = std::thread::spawn(move || {
+                let _bulk = holder.bulk.lock();
+                panic!("deliberate poison");
+            });
+            assert!(poisoner.join().is_err(), "poisoner must have panicked");
+            assert!(s.bulk.lock().is_err(), "mutex must actually be poisoned");
+            // Both lock sites: the cached read, and the fill after a pass.
+            assert_eq!(s.topk(5), want, "cached={cached}");
+        }
     }
 
     #[test]

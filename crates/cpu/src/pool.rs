@@ -7,7 +7,7 @@
 //! clean bitmaps to tasks and takes them back cleared; at steady state it
 //! holds one bitmap per worker thread.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Statistics of pool usage (exported for tests and the memory tables).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -43,13 +43,21 @@ impl<T> BitmapPool<T> {
         }
     }
 
+    /// Lock the free list, recovering from poison. Every critical section
+    /// is one push, one pop or one counter bump, so a panicking holder
+    /// cannot leave the list half-updated, and a bitmap held by a task that
+    /// panics is dropped, never released dirty.
+    fn lock(&self) -> MutexGuard<'_, PoolInner<T>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Take a value from the pool, creating one if none is free.
     ///
     /// The caller must return the value *clean* (all-zero bitmap) via
     /// [`BitmapPool::release`].
     pub fn acquire(&self) -> T {
         {
-            let mut inner = self.inner.lock().expect("pool lock poisoned");
+            let mut inner = self.lock();
             if let Some(v) = inner.free.pop() {
                 inner.stats.reused += 1;
                 return v;
@@ -63,17 +71,17 @@ impl<T> BitmapPool<T> {
 
     /// Return a (clean) value to the pool.
     pub fn release(&self, v: T) {
-        self.inner.lock().expect("pool lock poisoned").free.push(v);
+        self.lock().free.push(v);
     }
 
     /// Usage statistics so far.
     pub fn stats(&self) -> PoolStats {
-        self.inner.lock().expect("pool lock poisoned").stats
+        self.lock().stats
     }
 
     /// Number of values currently on the free list.
     pub fn idle(&self) -> usize {
-        self.inner.lock().expect("pool lock poisoned").free.len()
+        self.lock().free.len()
     }
 }
 
@@ -106,6 +114,34 @@ mod tests {
         let s = pool.stats();
         assert!(s.created <= rayon::current_num_threads() * 2 + 1);
         assert_eq!(pool.idle(), s.created);
+    }
+
+    #[test]
+    fn poisoned_lock_leaves_the_pool_usable() {
+        let pool = std::sync::Arc::new(BitmapPool::new(|| Bitmap::new(64)));
+        pool.release(pool.acquire());
+        let holder = std::sync::Arc::clone(&pool);
+        let poisoner = std::thread::spawn(move || {
+            let _inner = holder.inner.lock();
+            panic!("deliberate poison");
+        });
+        assert!(poisoner.join().is_err(), "poisoner must have panicked");
+        assert!(
+            pool.inner.lock().is_err(),
+            "mutex must actually be poisoned"
+        );
+        // acquire, release, stats and idle all still work.
+        let bm = pool.acquire();
+        assert_eq!(pool.idle(), 0);
+        pool.release(bm);
+        assert_eq!(pool.idle(), 1);
+        assert_eq!(
+            pool.stats(),
+            PoolStats {
+                created: 1,
+                reused: 1
+            }
+        );
     }
 
     #[test]

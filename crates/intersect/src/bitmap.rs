@@ -127,6 +127,12 @@ impl Bitmap {
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
+
+    /// The backing 64-bit words (bit `v` is bit `v & 63` of word `v >> 6`).
+    #[inline]
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
 }
 
 /// Bitmap–array intersection count (Algorithm 2, `IntersectBMP`): loop over

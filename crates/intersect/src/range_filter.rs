@@ -7,9 +7,23 @@
 //! memory on the GPU). A probe first peeks at the small bitmap and touches
 //! the big one only when the range is known non-empty, trading a cheap
 //! cache-resident lookup for an expensive memory access.
+//!
+//! The probe loop is vectorized per the resolved [`SimdTier`], like the
+//! plain BMP probe. Each step gathers the filter words of 16 keys
+//! (AVX-512F) or 8 keys (AVX2), shifts out the filter bits into a hit mask,
+//! and then runs a *masked* gather of the big bitmap for the hit lanes only:
+//! filtered lanes never touch the big bitmap, and a step whose keys are all
+//! filtered skips the big gather. Both bitmaps are gathered as arrays of
+//! 32-bit halves, so one `vpgatherdd` covers a whole step. The portable
+//! tier runs 8-key chunks without branches, redirecting a filtered lane's
+//! big read to word 0 and masking its bit off. The per-key
+//! [`RfBitmap::test`] loop is the bit-pinned oracle (`SimdTier::Scalar`).
+//! Every tier reports the same architecture-neutral meter events: one small
+//! access per key and one big access per filter hit.
 
 use crate::bitmap::Bitmap;
 use crate::meter::Meter;
+use crate::simd::SimdTier;
 
 /// The paper's default big-to-small size ratio (bits per small-bitmap bit).
 pub const DEFAULT_RF_RATIO: usize = 4096;
@@ -165,27 +179,147 @@ impl RfBitmap {
     }
 }
 
-/// Range-filtered bitmap–array intersection count.
+/// Range-filtered bitmap–array intersection count, executed at the
+/// process-wide resolved [`SimdTier`].
 ///
 /// Same contract as [`crate::bmp_count`] but probes through the filter, so
 /// sparse-match workloads touch the big bitmap far less often.
 #[inline]
 pub fn rf_count<M: Meter>(rf: &RfBitmap, arr: &[u32], meter: &mut M) -> u32 {
+    rf_count_tier(rf, arr, SimdTier::resolve(), meter)
+}
+
+/// [`rf_count`] at an explicit [`SimdTier`], for benchmarks and
+/// differential tests. A tier the host cannot execute degrades to the
+/// portable path.
+///
+/// The architecture-neutral meter events are identical at every tier:
+/// `rand_accesses_small` counts every key, `rand_accesses` every filter hit,
+/// plus `seq_bytes`, `scalar_ops` and `intersection_done`. Only the
+/// tier-attribution events (`simd_blocks`, `simd_tail_elems`) vary.
+pub fn rf_count_tier<M: Meter>(rf: &RfBitmap, arr: &[u32], tier: SimdTier, meter: &mut M) -> u32 {
     crate::debug_check_sorted(arr);
-    let mut c = 0u32;
-    for &w in arr {
-        c += u32::from(rf.test(w, meter));
-    }
+    debug_assert!(
+        arr.iter().all(|&v| (v as usize) < rf.cardinality()),
+        "probe ids must be < bitmap cardinality"
+    );
+    let c = match rf_hits(rf, arr, tier) {
+        Some(p) => {
+            meter.rand_accesses_small(arr.len() as u64);
+            meter.rand_accesses(p.filter_hits);
+            meter.simd_blocks(p.blocks);
+            meter.simd_tail_elems(p.tail);
+            p.hits
+        }
+        None => {
+            let mut c = 0u32;
+            for &w in arr {
+                c += u32::from(rf.test(w, meter));
+            }
+            c
+        }
+    };
     meter.seq_bytes(4 * arr.len() as u64);
     meter.scalar_ops(arr.len() as u64);
     meter.intersection_done();
     c
 }
 
+/// What a wide probe loop found and how it was shaped.
+#[derive(Debug, Default)]
+pub(crate) struct RfHits {
+    /// Keys present in the big bitmap.
+    pub(crate) hits: u32,
+    /// Keys whose filter bit was set (each read one big word).
+    pub(crate) filter_hits: u64,
+    /// Full 8/16-key steps.
+    pub(crate) blocks: u64,
+    /// Keys left over after the last full step.
+    pub(crate) tail: u64,
+}
+
+/// Tier dispatch for the probe loop; `None` means "run the scalar oracle".
+///
+/// A ratio of `2^32` or more shifts a `u32` key out entirely, where Rust's
+/// `>>` and the vector shifts disagree, and an empty big bitmap leaves the
+/// portable path no word to redirect filtered lanes to: both run the oracle.
+fn rf_hits(rf: &RfBitmap, arr: &[u32], tier: SimdTier) -> Option<RfHits> {
+    let (small, big, shift) = (rf.small.words(), rf.big.words(), rf.shift);
+    if tier == SimdTier::Scalar || shift >= 32 || big.is_empty() {
+        return None;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        if tier.use_avx512() {
+            // SAFETY: `use_avx512` re-checks host support, `shift < 32`
+            // was checked above, and the kernel guards its own gathers.
+            return Some(unsafe { crate::simd::rf_count_avx512(small, big, shift, arr) });
+        }
+        if tier.use_avx2() {
+            // SAFETY: as above for AVX2.
+            return Some(unsafe { crate::simd::rf_count_avx2(small, big, shift, arr) });
+        }
+    }
+    Some(rf_hits_portable(small, big, shift, arr))
+}
+
+/// Exclusive key bound below which both a key's filter word and its big
+/// word are in range, capped at `2^32` (where no `u32` key can fail).
+pub(crate) fn rf_key_limit(small: &[u64], big: &[u64], shift: u32) -> u64 {
+    let small_ids = (small.len() as u128 * 64) << shift;
+    let big_ids = big.len() as u128 * 64;
+    small_ids.min(big_ids).min(1 << 32) as u64
+}
+
+/// Per-key probes against the raw words: the tails and guard-failed steps
+/// of the wide paths. Indexes exactly like [`RfBitmap::test`], so it
+/// panics on the same keys.
+pub(crate) fn rf_probe_keys(
+    small: &[u64],
+    big: &[u64],
+    shift: u32,
+    keys: &[u32],
+    out: &mut RfHits,
+) {
+    for &k in keys {
+        let s = k >> shift;
+        if (small[s as usize >> 6] >> (s & 63)) & 1 != 0 {
+            out.filter_hits += 1;
+            out.hits += ((big[k as usize >> 6] >> (k & 63)) & 1) as u32;
+        }
+    }
+}
+
+/// Portable wide path: 8 keys per step without branches. A filtered lane
+/// reads big word 0 instead of its own and masks the bit off, so only
+/// filter hits index the big bitmap by key (and panic where the oracle
+/// would). `big` must be non-empty.
+fn rf_hits_portable(small: &[u64], big: &[u64], shift: u32, arr: &[u32]) -> RfHits {
+    let mut out = RfHits::default();
+    let mut chunks = arr.chunks_exact(8);
+    for ch in chunks.by_ref() {
+        let (mut hits, mut filter_hits) = (0u64, 0u64);
+        for &k in ch {
+            let s = k >> shift;
+            let f = (small[s as usize >> 6] >> (s & 63)) & 1;
+            let w = big[(k as usize >> 6) * f as usize];
+            hits += (w >> (k & 63)) & f;
+            filter_hits += f;
+        }
+        out.hits += hits as u32;
+        out.filter_hits += filter_hits;
+        out.blocks += 1;
+    }
+    let tail = chunks.remainder();
+    rf_probe_keys(small, big, shift, tail, &mut out);
+    out.tail = tail.len() as u64;
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::meter::{CountingMeter, NullMeter};
+    use crate::meter::{CountingMeter, NullMeter, WorkCounts};
     use crate::reference_count;
 
     #[test]
@@ -275,6 +409,42 @@ mod tests {
         // bitmap: that's the probe at id 0 only.
         assert_eq!(m.counts.rand_accesses, 1);
         assert_eq!(m.counts.rand_accesses_small, 1000);
+    }
+
+    #[test]
+    fn tier_counters_attribute_blocks_and_tail() {
+        let mut m0 = NullMeter;
+        let mut rf = RfBitmap::with_ratio(1 << 12, 64);
+        rf.set_list(&(0..100).collect::<Vec<u32>>(), &mut m0);
+        // 27 keys: 3 steps of 8 + a tail of 3, or 1 step of 16 + 11.
+        let probe: Vec<u32> = (0..27).map(|k| k * 97).collect();
+        let mut oracle = CountingMeter::new();
+        let want = rf_count_tier(&rf, &probe, SimdTier::Scalar, &mut oracle);
+        for tier in SimdTier::ALL {
+            let mut m = CountingMeter::new();
+            assert_eq!(rf_count_tier(&rf, &probe, tier, &mut m), want);
+            let shape = match tier {
+                SimdTier::Scalar => (0, 0),
+                SimdTier::Avx512 if tier.use_avx512() => (1, 11),
+                _ => (3, 3),
+            };
+            assert_eq!(
+                (m.counts.simd_blocks, m.counts.simd_tail_elems),
+                shape,
+                "tier={tier:?}"
+            );
+            // Everything else is identical to the oracle's tally.
+            let neutral = WorkCounts {
+                simd_blocks: 0,
+                simd_tail_elems: 0,
+                ..m.counts
+            };
+            assert_eq!(neutral, oracle.counts, "tier={tier:?}");
+        }
+        // Only keys 0 and 97 land in the two set ranges, and both are set.
+        assert_eq!(want, 2);
+        assert_eq!(oracle.counts.rand_accesses, 2);
+        assert_eq!(oracle.counts.rand_accesses_small, 27);
     }
 
     #[test]

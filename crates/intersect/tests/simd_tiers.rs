@@ -13,8 +13,8 @@
 use std::collections::BTreeSet;
 
 use cnc_intersect::{
-    bmp_count_tier, gallop_lower_bound_tier, linear_lower_bound_tier, lower_bound, Bitmap,
-    CountingMeter, NullMeter, SimdTier,
+    bmp_count_tier, gallop_lower_bound_tier, linear_lower_bound_tier, lower_bound, rf_count_tier,
+    Bitmap, CountingMeter, NullMeter, RfBitmap, SimdTier, WorkCounts,
 };
 use proptest::prelude::*;
 
@@ -49,8 +49,148 @@ fn high_bit_set(len: usize) -> impl Strategy<Value = Vec<u32>> {
         .prop_map(|s| s.into_iter().collect())
 }
 
+/// The RF ratios swept: the smallest legal one, two mid-range ones, and
+/// the paper's 4096.
+const RF_RATIOS: [usize; 4] = [2, 16, 64, 4096];
+
+/// Map a drawn `(raw, kind)` pair to an id of interest for an RF bitmap of
+/// `card` ids and range size `ratio`: a corner of a 64-bit word (kinds
+/// 0–3) or the first or last id of a filter range (kinds 4–5). `None` when
+/// the id falls outside `0..card`.
+fn rf_corner(card: u32, ratio: u32, (raw, kind): (u32, usize)) -> Option<u32> {
+    let id = match kind {
+        0..=3 => {
+            let word = raw % card.div_ceil(64);
+            word * 64 + [0u32, 1, 62, 63][kind]
+        }
+        _ => {
+            let range = raw % card.div_ceil(ratio);
+            range * ratio + if kind == 4 { 0 } else { ratio - 1 }
+        }
+    };
+    (id < card).then_some(id)
+}
+
+/// Sorted, deduplicated ids of interest.
+fn rf_ids(card: u32, ratio: u32, picks: &[(u32, usize)]) -> Vec<u32> {
+    let set: BTreeSet<u32> = picks
+        .iter()
+        .filter_map(|&p| rf_corner(card, ratio, p))
+        .collect();
+    set.into_iter().collect()
+}
+
+/// The meter tally with the tier-dependent attribution events zeroed.
+fn neutral(counts: WorkCounts) -> WorkCounts {
+    WorkCounts {
+        simd_blocks: 0,
+        simd_tail_elems: 0,
+        ..counts
+    }
+}
+
+/// Run `probe` through `rf` at every tier and check the count and every
+/// architecture-neutral meter field against the scalar oracle.
+fn assert_rf_tiers_match(rf: &RfBitmap, probe: &[u32], what: &str) -> u32 {
+    let mut oracle = CountingMeter::new();
+    let want = rf_count_tier(rf, probe, SimdTier::Scalar, &mut oracle);
+    for tier in TIERS {
+        let mut m = CountingMeter::new();
+        let got = rf_count_tier(rf, probe, tier, &mut m);
+        assert_eq!(got, want, "tier={} {what}", tier.label());
+        assert_eq!(
+            neutral(m.counts),
+            neutral(oracle.counts),
+            "tier={} {what}",
+            tier.label()
+        );
+    }
+    want
+}
+
+/// Whether `rf_count_tier` panics on `probe` at `tier`.
+fn rf_panics(rf: &RfBitmap, probe: &[u32], tier: SimdTier) -> bool {
+    std::panic::catch_unwind(|| rf_count_tier(rf, probe, tier, &mut NullMeter)).is_err()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// BMP-RF probes: every tier agrees with the scalar oracle, count and
+    /// architecture-neutral meter events, for every swept ratio. The
+    /// cardinality is odd, so it is a multiple of neither 64 nor the ratio,
+    /// and both the indexed and the probing ids cluster on word corners and
+    /// range boundaries.
+    #[test]
+    fn rf_tiers_bit_identical_on_word_and_range_boundaries(
+        ratio in prop::sample::select(RF_RATIOS.to_vec()),
+        words in 1u32..400,
+        odd in 0u32..32,
+        set in prop::collection::vec((0u32..u32::MAX, 0usize..6), 0..200),
+        probe in prop::collection::vec((0u32..u32::MAX, 0usize..6), 0..300),
+    ) {
+        let card = words * 64 + 2 * odd + 1;
+        let ratio32 = ratio as u32;
+        let set = rf_ids(card, ratio32, &set);
+        let probe = rf_ids(card, ratio32, &probe);
+        let mut m = NullMeter;
+        let mut rf = RfBitmap::with_ratio(card as usize, ratio);
+        rf.set_list(&set, &mut m);
+        let mut oracle = CountingMeter::new();
+        let want = rf_count_tier(&rf, &probe, SimdTier::Scalar, &mut oracle);
+        prop_assert_eq!(want, probe.iter().filter(|v| set.binary_search(v).is_ok()).count() as u32);
+        for tier in TIERS {
+            let mut got = CountingMeter::new();
+            prop_assert_eq!(
+                rf_count_tier(&rf, &probe, tier, &mut got),
+                want,
+                "tier={} ratio={} card={}", tier.label(), ratio, card
+            );
+            prop_assert_eq!(neutral(got.counts), neutral(oracle.counts), "tier={}", tier.label());
+        }
+        rf.clear_list(&set, &mut m);
+        prop_assert!(rf.is_empty());
+    }
+
+    /// BMP-RF over arbitrary sets in a larger domain, so long probe arrays
+    /// mix wholly filtered steps, partly filtered steps and scalar tails.
+    #[test]
+    fn rf_tiers_bit_identical_random(
+        ratio in prop::sample::select(RF_RATIOS.to_vec()),
+        set in sorted_set(40_000, 400),
+        probe in sorted_set(40_000, 400),
+    ) {
+        let mut m = NullMeter;
+        let mut rf = RfBitmap::with_ratio(40_000, ratio);
+        rf.set_list(&set, &mut m);
+        let mut oracle = CountingMeter::new();
+        let want = rf_count_tier(&rf, &probe, SimdTier::Scalar, &mut oracle);
+        for tier in TIERS {
+            let mut got = CountingMeter::new();
+            prop_assert_eq!(rf_count_tier(&rf, &probe, tier, &mut got), want, "tier={}", tier.label());
+            prop_assert_eq!(neutral(got.counts), neutral(oracle.counts), "tier={}", tier.label());
+        }
+    }
+
+    /// A key with the sign bit set lies past any test-sized RF bitmap: the
+    /// chunk holding it must fail the unsigned range guard and panic like
+    /// the oracle at every tier, wherever it sits in the probe array. A
+    /// signed compare would let it through to the gathers instead.
+    #[test]
+    fn rf_high_bit_key_panics_at_every_tier(
+        ratio in prop::sample::select(RF_RATIOS.to_vec()),
+        len in 0usize..40,
+        high in (1u32 << 31)..u32::MAX,
+    ) {
+        let mut rf = RfBitmap::with_ratio(1 << 12, ratio);
+        rf.set_list(&(0..64).collect::<Vec<u32>>(), &mut NullMeter);
+        let mut probe: Vec<u32> = (0..len as u32).map(|k| k * 7).collect();
+        probe.push(high);
+        prop_assert!(rf_panics(&rf, &probe, SimdTier::Scalar));
+        for tier in TIERS {
+            prop_assert!(rf_panics(&rf, &probe, tier), "tier={} len={}", tier.label(), len);
+        }
+    }
 
     /// BMP probes: all tiers agree with the scalar oracle on word-boundary
     /// probe sets, and the architecture-neutral meter events are identical.
@@ -248,6 +388,72 @@ fn bmp_word_boundaries_deterministic() {
                     bmp_count_tier(&bm, &probe, tier, &mut m),
                     want,
                     "tier={} edge={edge} len={len}",
+                    tier.label()
+                );
+            }
+        }
+    }
+}
+
+/// Deterministic BMP-RF step shapes: steps where every key is filtered,
+/// steps where every key hits, and every tail length from 0 to 15 after 0,
+/// 1 and 2 full 16-key steps.
+#[test]
+fn rf_filtered_hit_and_tail_shapes() {
+    let mut m = NullMeter;
+    let card = 1 << 16;
+    for ratio in RF_RATIOS {
+        let mut rf = RfBitmap::with_ratio(card, ratio);
+        // Ids 0..512 are all set; nothing at or above 8192 shares a range
+        // with them at any swept ratio.
+        rf.set_list(&(0..512).collect::<Vec<u32>>(), &mut m);
+        // Every key filtered: no hit, no big access.
+        let filtered: Vec<u32> = (0..48).map(|k| 8192 + k * 1000).collect();
+        let mut meter = CountingMeter::new();
+        for tier in TIERS {
+            assert_eq!(rf_count_tier(&rf, &filtered, tier, &mut meter), 0);
+        }
+        assert_eq!(meter.counts.rand_accesses, 0, "ratio={ratio}");
+        assert_rf_tiers_match(&rf, &filtered, "all filtered");
+        // Every key hits.
+        let hits: Vec<u32> = (0..48).map(|k| k * 10).collect();
+        assert_eq!(assert_rf_tiers_match(&rf, &hits, "all hit"), 48);
+        // Steps mixing hits and filtered keys, then every tail length.
+        for steps in 0..3u32 {
+            for tail in 0..16u32 {
+                let len = steps * 16 + tail;
+                let probe: Vec<u32> = (0..len).map(|k| k * 500).collect();
+                assert_rf_tiers_match(&rf, &probe, &format!("ratio={ratio} len={len}"));
+            }
+        }
+    }
+}
+
+/// Out-of-range keys at every tier. Debug builds assert that every key is
+/// below the cardinality. Release builds index like the oracle: a key
+/// whose filter word lies past the small bitmap panics, as does a key past
+/// the big bitmap whose range shares a filter bit with a set id, while a
+/// key past the big bitmap whose filter bit is clear is answered "absent".
+#[test]
+fn rf_out_of_range_keys_behave_like_the_oracle() {
+    let mut m = NullMeter;
+    // 100 ids in 2 big words (128 ids); one filter word of 64 ranges.
+    let mut rf = RfBitmap::with_ratio(100, 4096);
+    rf.set_list(&[5, 99], &mut m);
+    if !cfg!(debug_assertions) {
+        let mut ok: Vec<u32> = (0..20).collect();
+        ok.extend([3 * 4096, 5 * 4096 + 7, 63 * 4096]);
+        assert_eq!(assert_rf_tiers_match(&rf, &ok, "clear filter bit"), 1);
+    }
+    // 128 is the guard limit itself: the first id past the last big word.
+    for bad in [128u32, 200, 4095, 64 * 4096, u32::MAX] {
+        for len in [0usize, 7, 15, 16, 31] {
+            let mut probe: Vec<u32> = (0..len as u32).collect();
+            probe.push(bad);
+            for tier in TIERS {
+                assert!(
+                    rf_panics(&rf, &probe, tier),
+                    "tier={} bad={bad} len={len}",
                     tier.label()
                 );
             }

@@ -63,7 +63,7 @@ fn bench_bmp_probe(c: &mut Criterion) {
 /// Isolated BMP-RF probe loop: the same 4096-element probe array through a
 /// range-filtered bitmap at the paper's ratio of 4096, each tier. The
 /// indexed set is one dense cluster plus a sparse scatter, so about one
-/// key in eight passes the filter: most 16-key steps hit a few lanes and
+/// key in eight passes the filter: most 8-key steps hit a lane or two and
 /// need a masked big gather, and some are wholly filtered.
 fn bench_rf_probe(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(13);

@@ -9,8 +9,8 @@
 //! cache-resident lookup for an expensive memory access.
 //!
 //! The probe loop is vectorized per the resolved [`SimdTier`], like the
-//! plain BMP probe. Each step gathers the filter words of 16 keys
-//! (AVX-512F) or 8 keys (AVX2), shifts out the filter bits into a hit mask,
+//! plain BMP probe. At the avx2 and avx512 tiers, each step gathers the
+//! filter words of 8 keys, shifts out the filter bits into a hit mask,
 //! and then runs a *masked* gather of the big bitmap for the hit lanes only:
 //! filtered lanes never touch the big bitmap, and a step whose keys are all
 //! filtered skips the big gather. Both bitmaps are gathered as arrays of
@@ -227,15 +227,15 @@ pub fn rf_count_tier<M: Meter>(rf: &RfBitmap, arr: &[u32], tier: SimdTier, meter
 
 /// What a wide probe loop found and how it was shaped.
 #[derive(Debug, Default)]
-pub(crate) struct RfHits {
+struct RfHits {
     /// Keys present in the big bitmap.
-    pub(crate) hits: u32,
+    hits: u32,
     /// Keys whose filter bit was set (each read one big word).
-    pub(crate) filter_hits: u64,
-    /// Full 8/16-key steps.
-    pub(crate) blocks: u64,
+    filter_hits: u64,
+    /// Full 8-key steps.
+    blocks: u64,
     /// Keys left over after the last full step.
-    pub(crate) tail: u64,
+    tail: u64,
 }
 
 /// Tier dispatch for the probe loop; `None` means "run the scalar oracle".
@@ -249,23 +249,17 @@ fn rf_hits(rf: &RfBitmap, arr: &[u32], tier: SimdTier) -> Option<RfHits> {
         return None;
     }
     #[cfg(target_arch = "x86_64")]
-    {
-        if tier.use_avx512() {
-            // SAFETY: `use_avx512` re-checks host support, `shift < 32`
-            // was checked above, and the kernel guards its own gathers.
-            return Some(unsafe { crate::simd::rf_count_avx512(small, big, shift, arr) });
-        }
-        if tier.use_avx2() {
-            // SAFETY: as above for AVX2.
-            return Some(unsafe { crate::simd::rf_count_avx2(small, big, shift, arr) });
-        }
+    if tier.use_avx2() {
+        // SAFETY: `use_avx2` re-checks host support, `shift < 32` was
+        // checked above, and the kernel guards its own gathers.
+        return Some(unsafe { x86::rf_count_avx2(small, big, shift, arr) });
     }
     Some(rf_hits_portable(small, big, shift, arr))
 }
 
 /// Exclusive key bound below which both a key's filter word and its big
 /// word are in range, capped at `2^32` (where no `u32` key can fail).
-pub(crate) fn rf_key_limit(small: &[u64], big: &[u64], shift: u32) -> u64 {
+fn rf_key_limit(small: &[u64], big: &[u64], shift: u32) -> u64 {
     let small_ids = (small.len() as u128 * 64) << shift;
     let big_ids = big.len() as u128 * 64;
     small_ids.min(big_ids).min(1 << 32) as u64
@@ -274,13 +268,7 @@ pub(crate) fn rf_key_limit(small: &[u64], big: &[u64], shift: u32) -> u64 {
 /// Per-key probes against the raw words: the tails and guard-failed steps
 /// of the wide paths. Indexes exactly like [`RfBitmap::test`], so it
 /// panics on the same keys.
-pub(crate) fn rf_probe_keys(
-    small: &[u64],
-    big: &[u64],
-    shift: u32,
-    keys: &[u32],
-    out: &mut RfHits,
-) {
+fn rf_probe_keys(small: &[u64], big: &[u64], shift: u32, keys: &[u32], out: &mut RfHits) {
     for &k in keys {
         let s = k >> shift;
         if (small[s as usize >> 6] >> (s & 63)) & 1 != 0 {
@@ -314,6 +302,108 @@ fn rf_hits_portable(small: &[u64], big: &[u64], shift: u32, arr: &[u32]) -> RfHi
     rf_probe_keys(small, big, shift, tail, &mut out);
     out.tail = tail.len() as u64;
     out
+}
+
+/// The AVX2 probe loop, which the avx512 tier also runs: a 16-lane
+/// AVX-512F version measured no faster (EXPERIMENTS.md, "BMP-RF probes,
+/// vectorized").
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use std::arch::x86_64::*;
+
+    use super::{rf_key_limit, rf_probe_keys, RfHits};
+
+    /// Range-filtered probe loop, AVX2: for each 8-key chunk of `arr`,
+    /// gather the filter halves `small32[k >> (shift + 5)]` (one
+    /// `vpgatherdd`), shift out bit `(k >> shift) & 31` into a hit mask, and
+    /// run a masked `vpgatherdd` of the big halves `big32[k >> 5]` for the
+    /// hit lanes only. A chunk with no filter hit skips the big gather.
+    /// Both bitmaps are read as arrays of 32-bit halves of their
+    /// little-endian 64-bit words, which hold the same bits.
+    ///
+    /// A chunk with a key at or above [`rf_key_limit`] re-runs as the
+    /// per-key loop, which panics via slice indexing exactly like the
+    /// scalar oracle.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available and `shift < 32`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn rf_count_avx2(
+        small: &[u64],
+        big: &[u64],
+        shift: u32,
+        arr: &[u32],
+    ) -> RfHits {
+        let limit = rf_key_limit(small, big, shift);
+        let no_oob = limit > u64::from(u32::MAX);
+        let mut out = RfHits::default();
+        let mut chunks = arr.chunks_exact(8);
+        // SAFETY: loads read 8 in-bounds u32s per chunk. Every key of a
+        // chunk that passes the `limit` compare has its filter half
+        // `k >> (shift + 5)` below `2 * small.len()` and its big half
+        // `k >> 5` below `2 * big.len()`, so both gathers stay in bounds;
+        // masked-off lanes of the big gather load nothing.
+        unsafe {
+            let small_base = small.as_ptr().cast::<i32>();
+            let big_base = big.as_ptr().cast::<i32>();
+            let bias = _mm256_set1_epi32(i32::MIN);
+            let limit_b = _mm256_xor_si256(_mm256_set1_epi32(limit as u32 as i32), bias);
+            let small_sh = _mm_cvtsi32_si128(shift as i32 + 5);
+            let bit_sh = _mm_cvtsi32_si128(shift as i32);
+            let low5 = _mm256_set1_epi32(31);
+            let one = _mm256_set1_epi32(1);
+            let zero = _mm256_setzero_si256();
+            let mut acc = zero;
+            let mut facc = zero;
+            for chunk in chunks.by_ref() {
+                let kv = _mm256_loadu_si256(chunk.as_ptr().cast());
+                if !no_oob {
+                    // Unsigned `key >= limit` via the bias trick.
+                    let kb = _mm256_xor_si256(kv, bias);
+                    let oob = _mm256_or_si256(
+                        _mm256_cmpgt_epi32(kb, limit_b),
+                        _mm256_cmpeq_epi32(kb, limit_b),
+                    );
+                    if _mm256_movemask_ps(_mm256_castsi256_ps(oob)) != 0 {
+                        rf_probe_keys(small, big, shift, chunk, &mut out);
+                        out.blocks += 1;
+                        continue;
+                    }
+                }
+                let sw = _mm256_i32gather_epi32::<4>(small_base, _mm256_srl_epi32(kv, small_sh));
+                let sbit = _mm256_and_si256(_mm256_srl_epi32(kv, bit_sh), low5);
+                let f = _mm256_cmpeq_epi32(_mm256_and_si256(_mm256_srlv_epi32(sw, sbit), one), one);
+                if _mm256_movemask_ps(_mm256_castsi256_ps(f)) != 0 {
+                    // `f` is -1 in hit lanes: subtracting it counts them.
+                    facc = _mm256_sub_epi32(facc, f);
+                    let bw = _mm256_mask_i32gather_epi32::<4>(
+                        zero,
+                        big_base,
+                        _mm256_srli_epi32::<5>(kv),
+                        f,
+                    );
+                    let bbit = _mm256_and_si256(kv, low5);
+                    acc = _mm256_add_epi32(acc, _mm256_and_si256(_mm256_srlv_epi32(bw, bbit), one));
+                }
+                out.blocks += 1;
+            }
+            out.hits += hsum_epi32(acc);
+            out.filter_hits += u64::from(hsum_epi32(facc));
+        }
+        let tail = chunks.remainder();
+        rf_probe_keys(small, big, shift, tail, &mut out);
+        out.tail = tail.len() as u64;
+        out
+    }
+
+    /// Sum of the eight u32 lanes of `v`.
+    #[target_feature(enable = "avx2")]
+    fn hsum_epi32(v: __m256i) -> u32 {
+        let s = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+        let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b01_00_11_10>(s));
+        let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b10_11_00_01>(s));
+        _mm_cvtsi128_si32(s) as u32
+    }
 }
 
 #[cfg(test)]
@@ -416,7 +506,7 @@ mod tests {
         let mut m0 = NullMeter;
         let mut rf = RfBitmap::with_ratio(1 << 12, 64);
         rf.set_list(&(0..100).collect::<Vec<u32>>(), &mut m0);
-        // 27 keys: 3 steps of 8 + a tail of 3, or 1 step of 16 + 11.
+        // 27 keys: 3 steps of 8 + a tail of 3 at every wide tier.
         let probe: Vec<u32> = (0..27).map(|k| k * 97).collect();
         let mut oracle = CountingMeter::new();
         let want = rf_count_tier(&rf, &probe, SimdTier::Scalar, &mut oracle);
@@ -425,7 +515,6 @@ mod tests {
             assert_eq!(rf_count_tier(&rf, &probe, tier, &mut m), want);
             let shape = match tier {
                 SimdTier::Scalar => (0, 0),
-                SimdTier::Avx512 if tier.use_avx512() => (1, 11),
                 _ => (3, 3),
             };
             assert_eq!(
@@ -445,6 +534,54 @@ mod tests {
         assert_eq!(want, 2);
         assert_eq!(oracle.counts.rand_accesses, 2);
         assert_eq!(oracle.counts.rand_accesses_small, 27);
+    }
+
+    /// The wide paths below `rf_count_tier`'s debug assertion, so debug
+    /// builds exercise the vector range guard too: on keys at or past the
+    /// guard limit, every tier panics where the per-key oracle does and
+    /// otherwise finds the same hits.
+    #[test]
+    fn wide_paths_guard_out_of_range_keys_like_the_oracle() {
+        // 100 ids in 2 big words, so the guard limit is 128; one filter
+        // word of 64 ranges of 4096 ids, with only range 0 set.
+        let mut rf = RfBitmap::with_ratio(100, 4096);
+        rf.set_list(&[5, 99], &mut NullMeter);
+        let (small, big, shift) = (rf.small.words(), rf.big.words(), rf.shift);
+        assert_eq!(rf_key_limit(small, big, shift), 128);
+        // (key, what, whether the oracle panics on it)
+        let bad = [
+            (128, "the guard limit, set filter bit", true),
+            (200, "past the big bitmap, set filter bit", true),
+            (5 * 4096 + 7, "past the big bitmap, clear filter bit", false),
+            (64 * 4096, "past the filter", true),
+            (u32::MAX, "u32::MAX", true),
+        ];
+        for (key, what, panics) in bad {
+            for len in [0u32, 7, 8, 15, 16, 31] {
+                let mut probe: Vec<u32> = (0..len).collect();
+                probe.push(key);
+                let oracle = std::panic::catch_unwind(|| {
+                    let mut out = RfHits::default();
+                    rf_probe_keys(small, big, shift, &probe, &mut out);
+                    (out.hits, out.filter_hits)
+                });
+                assert_eq!(oracle.is_err(), panics, "{what}");
+                for tier in SimdTier::ALL.into_iter().filter(|&t| t != SimdTier::Scalar) {
+                    let got = std::panic::catch_unwind(|| {
+                        rf_hits(&rf, &probe, tier).map(|p| (p.hits, p.filter_hits))
+                    });
+                    match (&oracle, got) {
+                        (Ok(want), Ok(got)) => assert_eq!(got, Some(*want), "{what} {tier:?}"),
+                        (Err(_), Err(_)) => {}
+                        (want, got) => panic!(
+                            "{what} len={len} {tier:?}: oracle panicked={} tier panicked={}",
+                            want.is_err(),
+                            got.is_err()
+                        ),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -303,8 +303,6 @@ pub(crate) fn avx512_available() -> bool {
 mod x86 {
     use std::arch::x86_64::*;
 
-    use crate::range_filter::{rf_key_limit, rf_probe_keys, RfHits};
-
     /// Count elements of a 16-element window that are `< target`, assuming
     /// the window is sorted ascending (so the result is also the lower-bound
     /// offset).
@@ -513,160 +511,11 @@ mod x86 {
         }
         (hits, blocks, tail.len() as u64)
     }
-
-    /// Range-filtered probe loop, AVX2: for each 8-key chunk of `arr`,
-    /// gather the filter halves `small32[k >> (shift + 5)]` (one
-    /// `vpgatherdd`), shift out bit `(k >> shift) & 31` into a hit mask, and
-    /// run a masked `vpgatherdd` of the big halves `big32[k >> 5]` for the
-    /// hit lanes only. A chunk with no filter hit skips the big gather.
-    /// Both bitmaps are read as arrays of 32-bit halves of their
-    /// little-endian 64-bit words, which hold the same bits.
-    ///
-    /// A chunk with a key at or above [`rf_key_limit`] re-runs as the
-    /// per-key loop, which panics via slice indexing exactly like the
-    /// scalar oracle.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 is available and `shift < 32`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn rf_count_avx2(small: &[u64], big: &[u64], shift: u32, arr: &[u32]) -> RfHits {
-        let limit = rf_key_limit(small, big, shift);
-        let no_oob = limit > u64::from(u32::MAX);
-        let mut out = RfHits::default();
-        let mut chunks = arr.chunks_exact(8);
-        // SAFETY: loads read 8 in-bounds u32s per chunk. Every key of a
-        // chunk that passes the `limit` compare has its filter half
-        // `k >> (shift + 5)` below `2 * small.len()` and its big half
-        // `k >> 5` below `2 * big.len()`, so both gathers stay in bounds;
-        // masked-off lanes of the big gather load nothing.
-        unsafe {
-            let small_base = small.as_ptr().cast::<i32>();
-            let big_base = big.as_ptr().cast::<i32>();
-            let bias = _mm256_set1_epi32(i32::MIN);
-            let limit_b = _mm256_xor_si256(_mm256_set1_epi32(limit as u32 as i32), bias);
-            let small_sh = _mm_cvtsi32_si128(shift as i32 + 5);
-            let bit_sh = _mm_cvtsi32_si128(shift as i32);
-            let low5 = _mm256_set1_epi32(31);
-            let one = _mm256_set1_epi32(1);
-            let zero = _mm256_setzero_si256();
-            let mut acc = zero;
-            let mut facc = zero;
-            for chunk in chunks.by_ref() {
-                let kv = _mm256_loadu_si256(chunk.as_ptr().cast());
-                if !no_oob {
-                    // Unsigned `key >= limit` via the bias trick.
-                    let kb = _mm256_xor_si256(kv, bias);
-                    let oob = _mm256_or_si256(
-                        _mm256_cmpgt_epi32(kb, limit_b),
-                        _mm256_cmpeq_epi32(kb, limit_b),
-                    );
-                    if _mm256_movemask_ps(_mm256_castsi256_ps(oob)) != 0 {
-                        rf_probe_keys(small, big, shift, chunk, &mut out);
-                        out.blocks += 1;
-                        continue;
-                    }
-                }
-                let sw = _mm256_i32gather_epi32::<4>(small_base, _mm256_srl_epi32(kv, small_sh));
-                let sbit = _mm256_and_si256(_mm256_srl_epi32(kv, bit_sh), low5);
-                let f = _mm256_cmpeq_epi32(_mm256_and_si256(_mm256_srlv_epi32(sw, sbit), one), one);
-                if _mm256_movemask_ps(_mm256_castsi256_ps(f)) != 0 {
-                    // `f` is -1 in hit lanes: subtracting it counts them.
-                    facc = _mm256_sub_epi32(facc, f);
-                    let bw = _mm256_mask_i32gather_epi32::<4>(
-                        zero,
-                        big_base,
-                        _mm256_srli_epi32::<5>(kv),
-                        f,
-                    );
-                    let bbit = _mm256_and_si256(kv, low5);
-                    acc = _mm256_add_epi32(acc, _mm256_and_si256(_mm256_srlv_epi32(bw, bbit), one));
-                }
-                out.blocks += 1;
-            }
-            out.hits += hsum_epi32(acc);
-            out.filter_hits += u64::from(hsum_epi32(facc));
-        }
-        let tail = chunks.remainder();
-        rf_probe_keys(small, big, shift, tail, &mut out);
-        out.tail = tail.len() as u64;
-        out
-    }
-
-    /// Sum of the eight u32 lanes of `v`.
-    #[target_feature(enable = "avx2")]
-    fn hsum_epi32(v: __m256i) -> u32 {
-        let s = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
-        let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b01_00_11_10>(s));
-        let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b10_11_00_01>(s));
-        _mm_cvtsi128_si32(s) as u32
-    }
-
-    /// Range-filtered probe loop, AVX-512F: 16 keys per iteration, one
-    /// filter gather and one masked big gather (mask = filter hits). Same
-    /// contract as [`rf_count_avx2`].
-    ///
-    /// # Safety
-    /// Caller must ensure AVX-512F is available and `shift < 32`.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn rf_count_avx512(small: &[u64], big: &[u64], shift: u32, arr: &[u32]) -> RfHits {
-        let limit = rf_key_limit(small, big, shift);
-        let no_oob = limit > u64::from(u32::MAX);
-        let mut out = RfHits::default();
-        let mut chunks = arr.chunks_exact(16);
-        // SAFETY: loads read 16 in-bounds u32s per chunk. The `limit`
-        // compare keeps every gathered half in bounds, as in
-        // `rf_count_avx2`; masked-off lanes of the big gather load nothing.
-        unsafe {
-            let small_base = small.as_ptr().cast::<i32>();
-            let big_base = big.as_ptr().cast::<i32>();
-            let limit_v = _mm512_set1_epi32(limit as u32 as i32);
-            let small_sh = _mm_cvtsi32_si128(shift as i32 + 5);
-            let bit_sh = _mm_cvtsi32_si128(shift as i32);
-            let low5 = _mm512_set1_epi32(31);
-            let one = _mm512_set1_epi32(1);
-            let zero = _mm512_setzero_si512();
-            let mut acc = zero;
-            let mut facc = zero;
-            for chunk in chunks.by_ref() {
-                let kv = _mm512_loadu_si512(chunk.as_ptr().cast());
-                // _MM_CMPINT_NLT: unsigned `key >= limit`.
-                if !no_oob && _mm512_cmp_epu32_mask::<5>(kv, limit_v) != 0 {
-                    rf_probe_keys(small, big, shift, chunk, &mut out);
-                    out.blocks += 1;
-                    continue;
-                }
-                let sw = _mm512_i32gather_epi32::<4>(_mm512_srl_epi32(kv, small_sh), small_base);
-                let sbit =
-                    _mm512_sllv_epi32(one, _mm512_and_si512(_mm512_srl_epi32(kv, bit_sh), low5));
-                let fmask = _mm512_test_epi32_mask(sw, sbit);
-                if fmask != 0 {
-                    facc = _mm512_mask_add_epi32(facc, fmask, facc, one);
-                    let bw = _mm512_mask_i32gather_epi32::<4>(
-                        zero,
-                        fmask,
-                        _mm512_srli_epi32::<5>(kv),
-                        big_base,
-                    );
-                    let bbit = _mm512_sllv_epi32(one, _mm512_and_si512(kv, low5));
-                    let hit = _mm512_test_epi32_mask(bw, bbit);
-                    acc = _mm512_mask_add_epi32(acc, hit, acc, one);
-                }
-                out.blocks += 1;
-            }
-            out.hits += _mm512_reduce_add_epi32(acc) as u32;
-            out.filter_hits += u64::from(_mm512_reduce_add_epi32(facc) as u32);
-        }
-        let tail = chunks.remainder();
-        rf_probe_keys(small, big, shift, tail, &mut out);
-        out.tail = tail.len() as u64;
-        out
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) use x86::{
     block_pairs_eq_16, block_pairs_eq_8, bmp_count_avx2, bmp_count_avx512, count_less_than_16,
-    rf_count_avx2, rf_count_avx512,
 };
 
 #[cfg(test)]

@@ -396,8 +396,8 @@ fn bmp_word_boundaries_deterministic() {
 }
 
 /// Deterministic BMP-RF step shapes: steps where every key is filtered,
-/// steps where every key hits, and every tail length from 0 to 15 after 0,
-/// 1 and 2 full 16-key steps.
+/// steps where every key hits, and every probe length from 0 to 47, so
+/// every tail length of the 8-key wide steps after 0 to 5 full steps.
 #[test]
 fn rf_filtered_hit_and_tail_shapes() {
     let mut m = NullMeter;
@@ -430,10 +430,13 @@ fn rf_filtered_hit_and_tail_shapes() {
 }
 
 /// Out-of-range keys at every tier. Debug builds assert that every key is
-/// below the cardinality. Release builds index like the oracle: a key
-/// whose filter word lies past the small bitmap panics, as does a key past
-/// the big bitmap whose range shares a filter bit with a set id, while a
-/// key past the big bitmap whose filter bit is clear is answered "absent".
+/// below the cardinality, before any vector guard runs; the unit test
+/// `range_filter::tests::wide_paths_guard_out_of_range_keys_like_the_oracle`
+/// checks the guards below that assertion. Release builds index like the
+/// oracle: a key whose filter word lies past the small bitmap panics, as
+/// does a key past the big bitmap whose range shares a filter bit with a
+/// set id, while a key past the big bitmap whose filter bit is clear is
+/// answered "absent".
 #[test]
 fn rf_out_of_range_keys_behave_like_the_oracle() {
     let mut m = NullMeter;

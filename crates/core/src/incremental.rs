@@ -343,8 +343,9 @@ mod tests {
             }
         }
         let (g, maintained) = inc.snapshot();
-        let batch =
-            crate::Runner::new(crate::Platform::cpu_parallel(), crate::Algorithm::bmp_rf()).run(&g);
+        let batch = crate::Runner::new(crate::Platform::cpu_parallel(), crate::Algorithm::bmp_rf())
+            .try_run(&g)
+            .unwrap();
         assert_eq!(maintained, batch.counts());
     }
 

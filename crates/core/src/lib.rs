@@ -15,11 +15,12 @@
 //! let g = CsrGraph::from_edge_list(&generators::clique_chain(4, 8));
 //! let result = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf())
 //!     .reorder(true)
-//!     .run(&g);
+//!     .try_run(&g)?;
 //!
 //! // Exact counts for every directed edge slot, plus derived analytics.
 //! let view = result.view(&g);
 //! assert_eq!(view.triangle_count(), 4 * 56); // four K8 cliques
+//! # Ok::<(), cnc_core::PlanError>(())
 //! ```
 //!
 //! The building blocks are exposed by the sibling crates:

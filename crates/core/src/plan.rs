@@ -20,9 +20,11 @@ use cnc_graph::PreparedGraph;
 use cnc_intersect::RfRatioError;
 use cnc_workload::{WorkloadError, WorkloadKind};
 
+use crate::remap::RemapError;
 use crate::runner::{Algorithm, Platform, Runner};
 
-/// Why a run cannot be planned.
+/// Why a run cannot be planned, or its counts not carried back to the
+/// input graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
     /// The BMP range-filter ratio is invalid (zero / one / not a power of
@@ -44,6 +46,9 @@ pub enum PlanError {
         /// Label of the platform that cannot serve batches.
         platform: String,
     },
+    /// The counts of a reordered run cannot be carried back to input order:
+    /// the preparation's relabel is inconsistent with its input graph.
+    Remap(RemapError),
 }
 
 impl std::fmt::Display for PlanError {
@@ -61,6 +66,7 @@ impl std::fmt::Display for PlanError {
                 "point-query batches are not supported on platform {platform} \
                  (batch sessions run on the real CPU backends only)"
             ),
+            PlanError::Remap(e) => write!(f, "cannot remap counts: {e}"),
         }
     }
 }
@@ -70,10 +76,17 @@ impl std::error::Error for PlanError {
         match self {
             PlanError::InvalidRfRatio(e) => Some(e),
             PlanError::InvalidWorkload(e) => Some(e),
+            PlanError::Remap(e) => Some(e),
             PlanError::UnsupportedWorkload { .. } | PlanError::UnsupportedBatchPlatform { .. } => {
                 None
             }
         }
+    }
+}
+
+impl From<RemapError> for PlanError {
+    fn from(e: RemapError) -> Self {
+        PlanError::Remap(e)
     }
 }
 

@@ -14,8 +14,8 @@
 //! Preprocessing lives *outside* the three steps: runs consume an
 //! immutable [`PreparedGraph`] (CSR + optional degree-descending relabel +
 //! statistics, computed once — see `cnc_graph::prepare`). Call
-//! [`Runner::run_prepared`] to share one preparation across many runs;
-//! [`Runner::run`] remains as a convenience that prepares a bare
+//! [`Runner::try_run_prepared`] to share one preparation across many runs;
+//! [`Runner::try_run`] remains as a convenience that prepares a bare
 //! [`CsrGraph`] on the spot.
 
 use std::time::Instant;
@@ -32,7 +32,7 @@ use cnc_workload::{WorkloadKind, WorkloadOutput};
 use crate::analytics::CncView;
 use crate::backend::{Backend, CpuParBackend, CpuSeqBackend, GpuSimBackend, ModeledBackend};
 use crate::plan::{KernelSubstitution, PlanError};
-use crate::remap::counts_to_original;
+use crate::remap::try_counts_to_original;
 
 /// Range-filter selection for BMP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -353,26 +353,6 @@ impl Runner {
         }
     }
 
-    /// Execute on `g`, preparing it on the spot.
-    ///
-    /// # Panics
-    /// On invalid kernel configuration (see [`Runner::try_run`] for the
-    /// non-panicking form).
-    pub fn run(&self, g: &CsrGraph) -> RunOutput {
-        self.try_run(g)
-            .unwrap_or_else(|e| panic!("cannot run {:?}: {e}", self.algorithm.label()))
-    }
-
-    /// Execute on a shared prepared graph.
-    ///
-    /// # Panics
-    /// On invalid kernel configuration (see [`Runner::try_run_prepared`]
-    /// for the non-panicking form).
-    pub fn run_prepared(&self, prepared: &PreparedGraph) -> RunOutput {
-        self.try_run_prepared(prepared)
-            .unwrap_or_else(|e| panic!("cannot run {:?}: {e}", self.algorithm.label()))
-    }
-
     /// Execute on `g`: prepare (one-shot, matching this runner's reorder
     /// flag), then delegate to [`Runner::try_run_prepared`]. Callers running
     /// the same graph more than once should prepare it themselves and share
@@ -387,6 +367,11 @@ impl Runner {
     /// holds, and reordering only takes effect when the preparation
     /// computed the relabel (counts are then remapped back to the original
     /// graph's offsets).
+    ///
+    /// # Errors
+    /// [`PlanError`] when the run cannot be planned, or when a reordered
+    /// run's counts cannot be remapped because the preparation's relabel is
+    /// inconsistent with its input graph ([`PlanError::Remap`]).
     pub fn try_run_prepared(&self, prepared: &PreparedGraph) -> Result<RunOutput, PlanError> {
         let t0 = Instant::now();
         // Ambient observability: when a context is installed on this thread,
@@ -409,13 +394,11 @@ impl Runner {
         // The reorder is effective only if the preparation computed tables.
         // Only per-edge outputs live in the executed graph's offsets;
         // global tallies are offset-free and need no remap.
-        let effective_reorder = plan.reorder && prepared.reordered().is_some();
-        if effective_reorder {
-            if let WorkloadOutput::EdgeCounts(counts) = &mut exec.output {
-                let _s = obs.as_ref().map(|ctx| ctx.span("remap"));
-                let r = prepared.reordered().expect("checked above");
-                *counts = counts_to_original(prepared.graph(), r, counts);
-            }
+        let reordered = prepared.reordered().filter(|_| plan.reorder);
+        let effective_reorder = reordered.is_some();
+        if let (Some(r), WorkloadOutput::EdgeCounts(counts)) = (reordered, &mut exec.output) {
+            let _s = obs.as_ref().map(|ctx| ctx.span("remap"));
+            *counts = try_counts_to_original(prepared.graph(), r, counts)?;
         }
         if let (Some(ctx), Some(global)) = (&obs, exec.output.global_count()) {
             ctx.add(cnc_obs::Counter::WorkloadGlobalCount, global);
@@ -499,7 +482,9 @@ mod tests {
                 Algorithm::bmp(),
                 Algorithm::bmp_rf(),
             ] {
-                let r = Runner::new(platform.clone(), algorithm).run(&g);
+                let r = Runner::new(platform.clone(), algorithm)
+                    .try_run(&g)
+                    .unwrap();
                 assert_eq!(
                     r.counts(),
                     want,
@@ -516,7 +501,8 @@ mod tests {
         for reorder in [false, true] {
             let r = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf())
                 .reorder(reorder)
-                .run(&g);
+                .try_run(&g)
+                .unwrap();
             assert!(verify_counts(&g, r.counts()).is_ok(), "reorder={reorder}");
             assert_eq!(r.stats.reordered, reorder);
         }
@@ -526,13 +512,19 @@ mod tests {
     fn modeled_platforms_report_modeled_time() {
         let g = Dataset::FrS.build(Scale::Tiny);
         let scale = Dataset::FrS.capacity_scale(&g);
-        let knl = Runner::new(Platform::knl_flat(scale), Algorithm::mps()).run(&g);
+        let knl = Runner::new(Platform::knl_flat(scale), Algorithm::mps())
+            .try_run(&g)
+            .unwrap();
         assert!(knl.modeled_seconds.unwrap() > 0.0);
         assert!(matches!(knl.detail, RunDetail::Modeled(_)));
-        let gpu = Runner::new(Platform::gpu(scale), Algorithm::bmp_rf()).run(&g);
+        let gpu = Runner::new(Platform::gpu(scale), Algorithm::bmp_rf())
+            .try_run(&g)
+            .unwrap();
         assert!(gpu.modeled_seconds.unwrap() > 0.0);
         assert!(matches!(gpu.detail, RunDetail::Gpu(_)));
-        let cpu = Runner::new(Platform::cpu_parallel(), Algorithm::mps()).run(&g);
+        let cpu = Runner::new(Platform::cpu_parallel(), Algorithm::mps())
+            .try_run(&g)
+            .unwrap();
         assert!(cpu.modeled_seconds.is_none());
         assert!(cpu.wall_seconds > 0.0);
     }
@@ -548,7 +540,9 @@ mod tests {
     #[test]
     fn view_round_trip() {
         let g = CsrGraph::from_edge_list(&generators::clique_chain(4, 8));
-        let r = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf()).run(&g);
+        let r = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf())
+            .try_run(&g)
+            .unwrap();
         assert_eq!(r.view(&g).triangle_count(), 4 * 56);
     }
 
@@ -557,7 +551,9 @@ mod tests {
         let g = Dataset::TwS.build(Scale::Tiny);
         let scale = Dataset::TwS.capacity_scale(&g);
         // Modeled platforms meter exactly.
-        let knl = Runner::new(Platform::knl_flat(scale), Algorithm::mps()).run(&g);
+        let knl = Runner::new(Platform::knl_flat(scale), Algorithm::mps())
+            .try_run(&g)
+            .unwrap();
         assert_eq!(knl.stats.platform, "knl");
         assert_eq!(knl.stats.requested_algorithm, "MPS");
         assert_eq!(knl.stats.effective_algorithm, "MPS");
@@ -565,7 +561,9 @@ mod tests {
         assert!(knl.stats.work.unwrap().total_ops() > 0);
         assert_eq!(knl.stats.modeled_seconds, knl.modeled_seconds);
         // Real platforms measure, not meter.
-        let cpu = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf()).run(&g);
+        let cpu = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf())
+            .try_run(&g)
+            .unwrap();
         assert_eq!(cpu.stats.platform, "cpu-par");
         assert!(cpu.stats.work.is_none());
         assert!(cpu.stats.reordered, "BMP defaults to reordering");
@@ -578,7 +576,9 @@ mod tests {
         // with an infinite skew threshold and must say so in the report.
         let g = Dataset::LjS.build(Scale::Tiny);
         let scale = Dataset::LjS.capacity_scale(&g);
-        let r = Runner::new(Platform::gpu(scale), Algorithm::MergeBaseline).run(&g);
+        let r = Runner::new(Platform::gpu(scale), Algorithm::MergeBaseline)
+            .try_run(&g)
+            .unwrap();
         assert_eq!(r.counts(), reference_counts(&g));
         let sub = r
             .stats
@@ -595,9 +595,13 @@ mod tests {
         assert_eq!(r.stats.requested_algorithm, "M");
         // Natively supported requests report no substitution — on the GPU
         // and everywhere else.
-        let native = Runner::new(Platform::gpu(scale), Algorithm::mps()).run(&g);
+        let native = Runner::new(Platform::gpu(scale), Algorithm::mps())
+            .try_run(&g)
+            .unwrap();
         assert!(native.stats.substitution.is_none());
-        let cpu = Runner::new(Platform::CpuSequential, Algorithm::MergeBaseline).run(&g);
+        let cpu = Runner::new(Platform::CpuSequential, Algorithm::MergeBaseline)
+            .try_run(&g)
+            .unwrap();
         assert!(cpu.stats.substitution.is_none());
         assert_eq!(cpu.stats.effective_algorithm, "M");
     }
@@ -648,6 +652,33 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_first_runs_on_one_preparation_agree() {
+        // Two threads race to build the shared relabel's edge map: both
+        // must return the oracle's counts, and the map stays consistent.
+        let pg = PreparedGraph::from_csr(
+            Dataset::TwS.build(Scale::Tiny),
+            ReorderPolicy::DegreeDescending,
+        );
+        assert!(pg.reordered().unwrap().edge_map().is_none());
+        let runner = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf());
+        let start = std::sync::Barrier::new(2);
+        let [a, b] = std::thread::scope(|s| {
+            let run = || {
+                start.wait();
+                runner.try_run_prepared(&pg).unwrap().into_counts()
+            };
+            let (a, b) = (s.spawn(run), s.spawn(run));
+            [a.join().unwrap(), b.join().unwrap()]
+        });
+        let want = reference_counts(pg.graph());
+        assert_eq!(a, want);
+        assert_eq!(b, want);
+        assert!(pg.reordered().unwrap().edge_map().is_some());
+        let again = runner.try_run_prepared(&pg).unwrap().into_counts();
+        assert_eq!(again, want, "the kept map gathers the same counts");
+    }
+
+    #[test]
     fn shared_preparation_reorders_exactly_once() {
         // The acceptance property of the preparation layer: two runs over
         // the same Arc<PreparedGraph> perform exactly one degree-descending
@@ -658,8 +689,8 @@ mod tests {
         let pg = PreparedGraph::from_csr(g.clone(), runner.reorder_policy());
         let after_prepare = cnc_graph::prepare::metrics();
         assert_eq!(after_prepare.since(&before).reorders, 1);
-        let r1 = runner.run_prepared(&pg);
-        let r2 = runner.run_prepared(&pg);
+        let r1 = runner.try_run_prepared(&pg).unwrap();
+        let r2 = runner.try_run_prepared(&pg).unwrap();
         let after_runs = cnc_graph::prepare::metrics();
         assert_eq!(
             after_runs.since(&after_prepare).reorders,
@@ -685,7 +716,9 @@ mod tests {
             let want = reference_counts(pg.graph());
             for platform in platforms(pg.capacity_scale()) {
                 for algorithm in [Algorithm::mps(), Algorithm::bmp_rf()] {
-                    let r = Runner::new(platform.clone(), algorithm).run_prepared(&pg);
+                    let r = Runner::new(platform.clone(), algorithm)
+                        .try_run_prepared(&pg)
+                        .unwrap();
                     assert_eq!(
                         r.counts(),
                         want,
@@ -721,7 +754,7 @@ mod tests {
         let ctx = std::sync::Arc::new(ObsContext::new());
         let r = {
             let _g = ctx.install();
-            runner.run_prepared(&pg)
+            runner.try_run_prepared(&pg).unwrap()
         };
         assert_eq!(r.counts(), want_counts, "observability must not perturb");
         assert!(r.report.enabled);
@@ -765,7 +798,7 @@ mod tests {
         // Second run on the same context: per-run counter diffing.
         let r2 = {
             let _g = ctx.install();
-            runner.run_prepared(&pg)
+            runner.try_run_prepared(&pg).unwrap()
         };
         assert_eq!(
             r2.report.counter(C::KernelIntersections),
@@ -773,7 +806,7 @@ mod tests {
             "counters must be per-run, not cumulative"
         );
         // Unobserved runs carry a disabled, empty report.
-        let plain = runner.run_prepared(&pg);
+        let plain = runner.try_run_prepared(&pg).unwrap();
         assert!(!plain.report.enabled);
         assert_eq!(plain.report.counter(C::KernelScalarOps), 0);
         assert!(plain.report.spans.is_empty());
@@ -788,7 +821,8 @@ mod tests {
         for reorder in [false, true] {
             let r = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf())
                 .reorder(reorder)
-                .run(&g);
+                .try_run(&g)
+                .unwrap();
             assert_eq!(r.stats.reordered, reorder);
             assert_eq!(r.counts(), reference_counts(&g), "reorder={reorder}");
         }
@@ -816,7 +850,9 @@ mod tests {
         let knl_ctx = std::sync::Arc::new(ObsContext::new());
         let knl = {
             let _g = knl_ctx.install();
-            Runner::new(Platform::knl_flat(scale), Algorithm::mps()).run_prepared(&pg)
+            Runner::new(Platform::knl_flat(scale), Algorithm::mps())
+                .try_run_prepared(&pg)
+                .unwrap()
         };
         assert_eq!(
             knl.report.counter(C::KernelIntersections),
@@ -827,7 +863,9 @@ mod tests {
         let gpu_ctx = std::sync::Arc::new(ObsContext::new());
         let gpu = {
             let _g = gpu_ctx.install();
-            Runner::new(Platform::gpu(scale), Algorithm::bmp_rf()).run_prepared(&pg)
+            Runner::new(Platform::gpu(scale), Algorithm::bmp_rf())
+                .try_run_prepared(&pg)
+                .unwrap()
         };
         assert!(gpu.report.counter(C::GpuWarpInstrs) > 0);
         assert!(gpu.report.counter(C::GpuBlocks) > 0);
@@ -849,7 +887,9 @@ mod tests {
         // preparation still produces exact counts and reports what happened.
         let g = Dataset::LjS.build(Scale::Tiny);
         let pg = PreparedGraph::from_csr(g.clone(), cnc_graph::ReorderPolicy::None);
-        let r = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf()).run_prepared(&pg);
+        let r = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf())
+            .try_run_prepared(&pg)
+            .unwrap();
         assert_eq!(r.counts(), reference_counts(&g));
         assert!(
             !r.stats.reordered,

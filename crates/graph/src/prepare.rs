@@ -801,11 +801,7 @@ fn build_reordered(
         }
         old_to_new[old_id as usize] = new_id as u32;
     }
-    Ok(Reordered {
-        graph: relabeled,
-        old_to_new,
-        new_to_old,
-    })
+    Ok(Reordered::new(relabeled, old_to_new, new_to_old))
 }
 
 fn prepared_from_image(bytes: &[u8]) -> io::Result<PreparedGraph> {

@@ -9,9 +9,18 @@
 //! `O(|V| log |V| + |E|)`, with no global pair sort.
 
 use crate::csr::{prefix_offsets, CsrGraph};
+use std::fmt;
+use std::sync::OnceLock;
 
 /// The result of a degree-descending relabel.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Besides the two vertex tables it can hold the relabel's *edge map*
+/// `new_eid[e]`: the relabeled slot `e(φ(u), φ(v))` of every slot `e(u, v)`
+/// of the original graph. The map is derived data, built the first time a
+/// count is carried back to input order (`cnc_core::remap`) and kept for
+/// the life of the relabel at 4 B per directed edge. Clones start without
+/// it, and `PartialEq` and `Debug` ignore it.
+#[derive(Clone, PartialEq, Eq)]
 pub struct Reordered {
     /// The relabeled graph (new ids).
     pub graph: CsrGraph,
@@ -19,9 +28,65 @@ pub struct Reordered {
     pub old_to_new: Vec<u32>,
     /// `new_to_old[new_id] = old_id`.
     pub new_to_old: Vec<u32>,
+    edge_map: EdgeMap,
+}
+
+/// The lazily kept edge map of a [`Reordered`]; see there.
+#[derive(Default)]
+struct EdgeMap(OnceLock<Box<[u32]>>);
+
+impl Clone for EdgeMap {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl PartialEq for EdgeMap {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for EdgeMap {}
+
+impl fmt::Debug for Reordered {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Reordered")
+            .field("graph", &self.graph)
+            .field("old_to_new", &self.old_to_new)
+            .field("new_to_old", &self.new_to_old)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Reordered {
+    /// A relabel from its parts, with no edge map yet.
+    pub(crate) fn new(graph: CsrGraph, old_to_new: Vec<u32>, new_to_old: Vec<u32>) -> Self {
+        Self {
+            graph,
+            old_to_new,
+            new_to_old,
+            edge_map: EdgeMap::default(),
+        }
+    }
+
+    /// The edge map `new_eid[e]` (indexed by the original graph's slots),
+    /// if a remap has built it.
+    pub fn edge_map(&self) -> Option<&[u32]> {
+        self.edge_map.0.get().map(|m| &**m)
+    }
+
+    /// Keep `new_eid` as this relabel's edge map and return the kept map.
+    /// The first map kept wins: a map built concurrently by another thread
+    /// for the same relabel is identical, so a later one is dropped.
+    ///
+    /// The caller vouches that `new_eid` is the edge map of this relabel and
+    /// the original graph it was computed from: every later remap reads
+    /// counts through it without a search.
+    pub fn keep_edge_map(&self, new_eid: Vec<u32>) -> &[u32] {
+        self.edge_map.0.get_or_init(|| new_eid.into_boxed_slice())
+    }
+
     /// Translate an old vertex id to the relabeled id.
     pub fn to_new(&self, old: u32) -> u32 {
         self.old_to_new[old as usize]
@@ -55,11 +120,7 @@ fn relabel(g: &CsrGraph, new_to_old: Vec<u32>) -> Reordered {
     let mut offsets = vec![0usize; g.num_vertices() + 1];
     let mut dst = vec![0u32; g.num_directed_edges()];
     let old_to_new = relabel_into(g.offsets(), g.dst(), &new_to_old, &mut offsets, &mut dst);
-    Reordered {
-        graph: CsrGraph::from_built(offsets, dst),
-        old_to_new,
-        new_to_old,
-    }
+    Reordered::new(CsrGraph::from_built(offsets, dst), old_to_new, new_to_old)
 }
 
 /// Relabel the CSR (`offsets`, `dst`) by the vertex order `new_to_old` into
@@ -199,11 +260,11 @@ mod tests {
             .iter_edges()
             .filter(|&(_, u, v)| u < v)
             .map(|(_, u, v)| (old_to_new[u as usize], old_to_new[v as usize]));
-        Reordered {
-            graph: CsrGraph::from_undirected_pairs(g.num_vertices(), pairs),
+        Reordered::new(
+            CsrGraph::from_undirected_pairs(g.num_vertices(), pairs),
             old_to_new,
-            new_to_old: new_to_old.to_vec(),
-        }
+            new_to_old.to_vec(),
+        )
     }
 
     /// The three vertex orders the shared relabel serves, each checked

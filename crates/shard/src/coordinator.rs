@@ -225,7 +225,7 @@ pub fn run_sharded(prepared: &PreparedGraph, cfg: &ShardConfig) -> Result<ShardO
     let counts = match prepared.reordered() {
         Some(r) if plan.reorder => {
             let _s = obs.as_ref().map(|ctx| ctx.span("remap"));
-            cnc_core::remap::counts_to_original(prepared.graph(), r, &full)
+            cnc_core::remap::try_counts_to_original(prepared.graph(), r, &full)?
         }
         _ => full,
     };

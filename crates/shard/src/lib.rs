@@ -32,6 +32,7 @@ pub use coordinator::{run_sharded, ShardConfig, ShardOutput};
 pub use protocol::{decode_msg, encode_msg, ShardTally, WireError, WorkerMsg, SHARD_WIRE_VERSION};
 pub use worker::{worker_main, WorkerArgs, FAIL_ENV};
 
+use cnc_core::remap::RemapError;
 use cnc_core::{Algorithm, PlanError, RfChoice};
 use cnc_intersect::MpsConfig;
 
@@ -58,6 +59,9 @@ pub enum ShardError {
         /// The last failure's reason.
         reason: String,
     },
+    /// The assembled counts cannot be carried back to input order: the
+    /// preparation's relabel is inconsistent with its input graph.
+    Remap(RemapError),
 }
 
 impl std::fmt::Display for ShardError {
@@ -76,6 +80,7 @@ impl std::fmt::Display for ShardError {
                 f,
                 "shard {shard} failed after {attempts} attempts: {reason}"
             ),
+            ShardError::Remap(e) => write!(f, "cannot remap sharded counts: {e}"),
         }
     }
 }
@@ -84,8 +89,15 @@ impl std::error::Error for ShardError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ShardError::Plan(e) => Some(e),
+            ShardError::Remap(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+impl From<RemapError> for ShardError {
+    fn from(e: RemapError) -> Self {
+        ShardError::Remap(e)
     }
 }
 

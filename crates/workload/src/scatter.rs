@@ -37,10 +37,16 @@ pub struct ScatterVec {
 }
 
 impl ScatterVec {
-    /// A zero-initialized array of `len` slots.
+    /// A zero-initialized array of `len` slots, allocated zeroed (the
+    /// allocator hands out fresh zero pages without writing them).
     pub fn new(len: usize) -> Self {
+        let zeroed = vec![0u32; len].into_boxed_slice();
+        // SAFETY: `SyncCell` is `repr(transparent)` over `UnsafeCell<u32>`,
+        // itself `repr(transparent)` over `u32`, so the two slices have the
+        // same layout and the pointer cast keeps the length.
+        let data = unsafe { Box::from_raw(Box::into_raw(zeroed) as *mut [SyncCell]) };
         Self {
-            data: (0..len).map(|_| SyncCell(UnsafeCell::new(0))).collect(),
+            data,
             #[cfg(debug_assertions)]
             written: (0..len).map(|_| AtomicBool::new(false)).collect(),
         }
@@ -74,14 +80,13 @@ impl ScatterVec {
         unsafe { *self.data[idx].0.get() = value };
     }
 
-    /// Consume and return the plain vector.
+    /// Consume and return the plain vector, reusing the allocation.
     pub fn into_vec(self) -> Vec<u32> {
-        self.data
-            .iter()
-            // SAFETY: `self` is owned here; no other thread can hold a
-            // reference, so reads are unaliased.
-            .map(|c| unsafe { *c.0.get() })
-            .collect()
+        let raw = Box::into_raw(self.data);
+        // SAFETY: `self` is owned here, so no other thread holds a reference
+        // to any slot; `SyncCell` has the layout of `u32` (see `new`), and
+        // a boxed slice's allocation is exactly its length.
+        unsafe { Box::from_raw(raw as *mut [u32]) }.into_vec()
     }
 }
 
@@ -114,6 +119,17 @@ mod tests {
         let s = ScatterVec::new(3);
         s.set(1, 5);
         assert_eq!(s.into_vec(), vec![0, 5, 0]);
+    }
+
+    #[test]
+    fn into_vec_reuses_the_allocation() {
+        let s = ScatterVec::new(1000);
+        s.set(999, 4);
+        let slots = s.data.as_ptr().cast::<u32>();
+        let v = s.into_vec();
+        assert_eq!(v.as_ptr(), slots);
+        assert_eq!((v.len(), v.capacity(), v[0], v[999]), (1000, 1000, 0, 4));
+        assert!(ScatterVec::new(0).into_vec().is_empty());
     }
 
     #[cfg(debug_assertions)]

@@ -16,11 +16,11 @@ use cnc_graph::datasets::{Dataset, Scale};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn main() {
+fn main() -> Result<(), cnc_core::PlanError> {
     // Bootstrap: a batch count of yesterday's co-purchasing graph, using
     // the fastest batch backend (the paper's subject).
     let graph = Dataset::LjS.build(Scale::Tiny);
-    let batch = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf()).run(&graph);
+    let batch = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf()).try_run(&graph)?;
     println!(
         "batch bootstrap: {} edges counted in {:.1} ms (triangles: {})",
         graph.num_undirected_edges(),
@@ -66,7 +66,7 @@ fn main() {
     // the mutated graph.
     let (snapshot, maintained) = live.snapshot();
     let t1 = Instant::now();
-    let recount = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf()).run(&snapshot);
+    let recount = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf()).try_run(&snapshot)?;
     let recount_s = t1.elapsed().as_secs_f64();
     assert_eq!(maintained, recount.counts(), "incremental must stay exact");
     println!(
@@ -77,4 +77,5 @@ fn main() {
         "maintaining beats recounting when updates arrive faster than ~{:.0} edits/batch",
         recount_s / (stream_s / (inserted + removed) as f64)
     );
+    Ok(())
 }

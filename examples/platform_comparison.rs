@@ -9,7 +9,7 @@
 use cnc_core::{Algorithm, Platform, RunDetail, Runner};
 use cnc_graph::datasets::{Dataset, Scale};
 
-fn main() {
+fn main() -> Result<(), cnc_core::PlanError> {
     let which = std::env::args().nth(1).unwrap_or_else(|| "tw".into());
     let dataset = match which.as_str() {
         "lj" => Dataset::LjS,
@@ -71,7 +71,7 @@ fn main() {
         "configuration", "modeled time", "notes"
     );
     for (label, platform, algorithm) in configs {
-        let r = Runner::new(platform, algorithm).run(&graph);
+        let r = Runner::new(platform, algorithm).try_run(&graph)?;
         // Every configuration must agree bit-for-bit.
         match &reference {
             None => reference = Some(r.counts().to_vec()),
@@ -97,10 +97,11 @@ fn main() {
     println!("(paper finding: best is KNL-MPS or GPU-BMP; worst is GPU-MPS)");
 
     // And one real measured run on this host for comparison.
-    let real = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf()).run(&graph);
+    let real = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf()).try_run(&graph)?;
     println!(
         "\nthis host (real, {} rayon threads): {:.1} ms wall",
         rayon::current_num_threads(),
         real.wall_seconds * 1e3
     );
+    Ok(())
 }

@@ -57,7 +57,7 @@ fn co_purchasing_graph(
     (CsrGraph::from_edge_list(&el), names)
 }
 
-fn main() {
+fn main() -> Result<(), cnc_core::PlanError> {
     let (graph, names) = co_purchasing_graph(40, 50, 7);
     println!(
         "co-purchasing graph: {} products, {} co-purchase pairs",
@@ -68,7 +68,7 @@ fn main() {
     // Online analytics: refresh all-edge counts with the fastest real
     // backend (parallel BMP with range filtering, per the paper's CPU
     // findings).
-    let result = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf()).run(&graph);
+    let result = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf()).try_run(&graph)?;
     println!(
         "refreshed {} co-recommendation scores in {:.1} ms",
         result.counts().len(),
@@ -107,4 +107,5 @@ fn main() {
     // Also an example of why generators::clique_chain exists in tests.
     let random_edge_strength: f64 = view.jaccard(graph.offset_range(anchor).start);
     println!("(weakest-tie jaccard for comparison: {random_edge_strength:.3})");
+    Ok(())
 }

@@ -8,7 +8,7 @@
 use cnc_core::{Algorithm, Platform, Runner};
 use cnc_graph::{generators, CsrGraph};
 
-fn main() {
+fn main() -> Result<(), cnc_core::PlanError> {
     // A power-law graph like a small social network.
     let edges = generators::chung_lu(5_000, 12.0, 2.2, 42);
     let graph = CsrGraph::from_edge_list(&edges);
@@ -20,7 +20,7 @@ fn main() {
 
     // Count |N(u) ∩ N(v)| for every edge with the paper's BMP algorithm
     // (range-filtered bitmap index) on the real CPU, in parallel.
-    let result = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf()).run(&graph);
+    let result = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf()).try_run(&graph)?;
     println!("counted in {:.1} ms (host wall)", result.wall_seconds * 1e3);
 
     let view = result.view(&graph);
@@ -41,10 +41,11 @@ fn main() {
     }
 
     // The same counts via the hybrid merge algorithm — identical results.
-    let mps = Runner::new(Platform::cpu_parallel(), Algorithm::mps()).run(&graph);
+    let mps = Runner::new(Platform::cpu_parallel(), Algorithm::mps()).try_run(&graph)?;
     assert_eq!(mps.counts(), result.counts());
     println!(
         "MPS and BMP agree on all {} edge slots ✓",
         mps.counts().len()
     );
+    Ok(())
 }

@@ -14,7 +14,7 @@
 use cnc_core::{scan, truss_decomposition, Algorithm, Platform, Role, Runner};
 use cnc_graph::{generators, CsrGraph, EdgeList};
 
-fn main() {
+fn main() -> Result<(), cnc_core::PlanError> {
     // Ground-truth communities: five 40-cliques bridged by single edges,
     // plus background noise edges.
     let mut el: EdgeList = generators::clique_chain(5, 40);
@@ -31,7 +31,7 @@ fn main() {
     );
 
     // Step 1 — the expensive part, the paper's subject: all-edge counts.
-    let result = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf()).run(&graph);
+    let result = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf()).try_run(&graph)?;
     println!(
         "all-edge common neighbor counting: {:.1} ms",
         result.wall_seconds * 1e3
@@ -81,4 +81,5 @@ fn main() {
         truss.max_k,
         5 * 40 * 39 / 2
     );
+    Ok(())
 }

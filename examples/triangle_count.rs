@@ -10,10 +10,10 @@ use cnc_core::{Algorithm, Platform, Runner};
 use cnc_graph::datasets::{Dataset, Scale};
 use cnc_graph::{generators, CsrGraph};
 
-fn main() {
+fn main() -> Result<(), cnc_core::PlanError> {
     // Known ground truth first: clique_chain(k, s) has k * C(s,3) triangles.
     let g = CsrGraph::from_edge_list(&generators::clique_chain(6, 10));
-    let r = Runner::new(Platform::cpu_parallel(), Algorithm::mps()).run(&g);
+    let r = Runner::new(Platform::cpu_parallel(), Algorithm::mps()).try_run(&g)?;
     let expected = 6 * (10 * 9 * 8) / 6;
     assert_eq!(r.view(&g).triangle_count(), expected as u64);
     println!("clique-chain ground truth: {expected} triangles ✓");
@@ -26,8 +26,8 @@ fn main() {
     );
     for d in Dataset::ALL {
         let g = d.build(Scale::Tiny);
-        let mps = Runner::new(Platform::cpu_parallel(), Algorithm::mps()).run(&g);
-        let bmp = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf()).run(&g);
+        let mps = Runner::new(Platform::cpu_parallel(), Algorithm::mps()).try_run(&g)?;
+        let bmp = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf()).try_run(&g)?;
         let t = mps.view(&g).triangle_count();
         assert_eq!(
             t,
@@ -47,8 +47,8 @@ fn main() {
     // The simulated processors agree too.
     let g = Dataset::LjS.build(Scale::Tiny);
     let scale = Dataset::LjS.capacity_scale(&g);
-    let knl = Runner::new(Platform::knl_flat(scale), Algorithm::mps()).run(&g);
-    let gpu = Runner::new(Platform::gpu(scale), Algorithm::bmp_rf()).run(&g);
+    let knl = Runner::new(Platform::knl_flat(scale), Algorithm::mps()).try_run(&g)?;
+    let gpu = Runner::new(Platform::gpu(scale), Algorithm::bmp_rf()).try_run(&g)?;
     assert_eq!(knl.view(&g).triangle_count(), gpu.view(&g).triangle_count());
     println!(
         "\nKNL and GPU backends agree: {} triangles on lj-s (modeled {:.2} ms / {:.2} ms)",
@@ -56,4 +56,5 @@ fn main() {
         knl.modeled_seconds.unwrap() * 1e3,
         gpu.modeled_seconds.unwrap() * 1e3,
     );
+    Ok(())
 }

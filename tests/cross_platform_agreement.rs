@@ -99,7 +99,9 @@ fn all_platforms_all_algorithms_all_graphs() {
         let want = reference_counts(&g);
         for (pname, platform) in platforms(1e-4) {
             for algorithm in algorithms() {
-                let r = Runner::new(platform.clone(), algorithm).run(&g);
+                let r = Runner::new(platform.clone(), algorithm)
+                    .try_run(&g)
+                    .unwrap();
                 assert_eq!(
                     r.counts(),
                     want,
@@ -118,7 +120,8 @@ fn reordering_never_changes_counts() {
         for reorder in [false, true] {
             let r = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf())
                 .reorder(reorder)
-                .run(&g);
+                .try_run(&g)
+                .unwrap();
             assert_eq!(r.counts(), want, "graph={name} reorder={reorder}");
         }
     }
@@ -130,7 +133,7 @@ fn triangle_counts_agree_across_platforms() {
     let scale = Dataset::OrS.capacity_scale(&g);
     let mut triangle_counts = Vec::new();
     for (pname, platform) in platforms(scale) {
-        let r = Runner::new(platform, Algorithm::mps()).run(&g);
+        let r = Runner::new(platform, Algorithm::mps()).try_run(&g).unwrap();
         triangle_counts.push((pname, r.view(&g).triangle_count()));
     }
     let first = triangle_counts[0].1;

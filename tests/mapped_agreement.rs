@@ -68,14 +68,14 @@ fn mapped_storage_counts_identically_everywhere() {
     for (pname, platform) in platforms(scale) {
         for algorithm in algorithms() {
             let runner = Runner::new(platform.clone(), algorithm);
-            let from_mapped = runner.run_prepared(&mapped);
+            let from_mapped = runner.try_run_prepared(&mapped).unwrap();
             assert_eq!(
                 from_mapped.counts(),
                 want,
                 "platform={pname} algorithm={} diverges on mapped storage",
                 algorithm.label()
             );
-            let from_owned = runner.run_prepared(&owned);
+            let from_owned = runner.try_run_prepared(&owned).unwrap();
             assert_eq!(
                 from_owned.counts(),
                 from_mapped.counts(),

@@ -15,7 +15,7 @@ proptest! {
     fn full_pipeline_matches_reference(ps in pairs(60, 250)) {
         let g = CsrGraph::from_edge_list(&EdgeList::from_pairs(ps));
         for algorithm in [Algorithm::mps(), Algorithm::bmp_rf()] {
-            let r = Runner::new(Platform::cpu_parallel(), algorithm).run(&g);
+            let r = Runner::new(Platform::cpu_parallel(), algorithm).try_run(&g).unwrap();
             prop_assert!(verify_counts(&g, r.counts()).is_ok());
         }
     }
@@ -23,8 +23,8 @@ proptest! {
     #[test]
     fn gpu_platform_matches_cpu(ps in pairs(48, 200)) {
         let g = CsrGraph::from_edge_list(&EdgeList::from_pairs(ps));
-        let cpu = Runner::new(Platform::cpu_parallel(), Algorithm::mps()).run(&g);
-        let gpu = Runner::new(Platform::gpu(1e-4), Algorithm::bmp_rf()).run(&g);
+        let cpu = Runner::new(Platform::cpu_parallel(), Algorithm::mps()).try_run(&g).unwrap();
+        let gpu = Runner::new(Platform::gpu(1e-4), Algorithm::bmp_rf()).try_run(&g).unwrap();
         prop_assert_eq!(cpu.counts(), gpu.counts());
     }
 
@@ -54,7 +54,7 @@ proptest! {
     #[test]
     fn counts_bounded_by_min_degree(ps in pairs(40, 160)) {
         let g = CsrGraph::from_edge_list(&EdgeList::from_pairs(ps));
-        let r = Runner::new(Platform::CpuSequential, Algorithm::bmp()).run(&g);
+        let r = Runner::new(Platform::CpuSequential, Algorithm::bmp()).try_run(&g).unwrap();
         for (eid, u, v) in g.iter_edges() {
             let bound = g.degree(u).min(g.degree(v)) as u32;
             // Common neighbors exclude u and v themselves, so the count is
@@ -68,7 +68,7 @@ proptest! {
     #[test]
     fn symmetric_counts(ps in pairs(40, 160)) {
         let g = CsrGraph::from_edge_list(&EdgeList::from_pairs(ps));
-        let r = Runner::new(Platform::cpu_parallel(), Algorithm::mps()).run(&g);
+        let r = Runner::new(Platform::cpu_parallel(), Algorithm::mps()).try_run(&g).unwrap();
         for (eid, u, _v) in g.iter_edges() {
             let rev = g.reverse_offset(u, eid);
             prop_assert_eq!(r.counts()[eid], r.counts()[rev]);

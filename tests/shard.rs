@@ -9,12 +9,14 @@
 //! simulation. Fault injection is passed per-child via `ShardConfig`
 //! (never `std::env::set_var` — tests run in parallel threads).
 
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use cnc_core::{Algorithm, Platform, Runner};
+use cnc_core::remap::RemapError;
+use cnc_core::{Algorithm, PlanError, Platform, Runner};
 use cnc_graph::datasets::{Dataset, Scale};
-use cnc_graph::{prepare, PreparedGraph, ReorderPolicy};
+use cnc_graph::{prepare, CsrGraph, PreparedGraph, ReorderPolicy};
 use cnc_obs::{Counter, ObsContext};
 use cnc_shard::{run_sharded, ShardConfig, ShardError};
 
@@ -47,7 +49,7 @@ fn oracle(pg: &PreparedGraph, algorithm: Algorithm, reorder: Option<bool>) -> Ve
     if let Some(r) = reorder {
         runner = runner.reorder(r);
     }
-    runner.run_prepared(pg).into_counts()
+    runner.try_run_prepared(pg).unwrap().into_counts()
 }
 
 #[test]
@@ -193,5 +195,127 @@ fn custom_mps_config_is_rejected_with_a_typed_error() {
         }
         other => panic!("expected ShardError::Algorithm, got {other:?}"),
     }
+    let _ = std::fs::remove_file(&prep);
+}
+
+/// The `CNCPREP4` payload checksum, restated from `cnc_graph::prepare`: an
+/// FNV-style multiply-xor fold over four interleaved u64 lanes, then the
+/// zero-padded tail words and the length.
+fn prep_checksum(bytes: &[u8]) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let word = |w: &[u8]| {
+        let mut padded = [0u8; 8];
+        padded[..w.len()].copy_from_slice(w);
+        u64::from_le_bytes(padded)
+    };
+    let mut lanes = [OFFSET ^ 0x01, OFFSET ^ 0x10, OFFSET ^ 0x11, OFFSET];
+    let blocks = bytes.len() / 32 * 32;
+    for block in bytes[..blocks].chunks(32) {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks(8)) {
+            *lane = (*lane ^ word(w)).wrapping_mul(PRIME);
+        }
+    }
+    let mut hash = OFFSET;
+    for lane in lanes {
+        hash = (hash ^ lane).wrapping_mul(PRIME);
+    }
+    for w in bytes[blocks..].chunks(8) {
+        hash = (hash ^ word(w)).wrapping_mul(PRIME);
+    }
+    (hash ^ bytes.len() as u64).wrapping_mul(PRIME)
+}
+
+/// Byte ranges of the section payloads of a `CNCPREP4` image: a 64-byte
+/// file header, then per section a 64-byte header (payload length,
+/// checksum, element width) and the payload padded to 64 bytes.
+fn payload_ranges(image: &[u8]) -> Vec<Range<usize>> {
+    let word = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
+    let mut ranges = Vec::new();
+    let mut pos = 64;
+    while pos < image.len() {
+        let start = pos + 64;
+        let end = start + word(pos);
+        ranges.push(start..end);
+        pos = end.div_ceil(64) * 64;
+    }
+    ranges
+}
+
+/// `g` after one double-edge swap `(a,b), (c,d) → (a,d), (c,b)`: degrees,
+/// symmetry and sorted rows survive, the edge set does not.
+fn double_edge_swap(g: &CsrGraph) -> CsrGraph {
+    let edges: Vec<(u32, u32)> = g
+        .iter_edges()
+        .filter(|&(_, u, v)| u < v)
+        .map(|(_, u, v)| (u, v))
+        .collect();
+    let absent = |u: u32, v: u32| g.edge_offset(u, v).is_none();
+    let (i, j) = (0..edges.len())
+        .flat_map(|i| (i + 1..edges.len()).map(move |j| (i, j)))
+        .find(|&(i, j)| {
+            let ((a, b), (c, d)) = (edges[i], edges[j]);
+            a != c && a != d && b != c && b != d && absent(a, d) && absent(c, b)
+        })
+        .expect("a swappable pair of edges");
+    let ((a, b), (c, d)) = (edges[i], edges[j]);
+    let swapped = edges.iter().enumerate().map(|(k, &e)| match k {
+        k if k == i => (a, d),
+        k if k == j => (c, b),
+        _ => e,
+    });
+    let mut out = CsrGraph::from_undirected_pairs(g.num_vertices(), swapped);
+    out.build_reverse_index();
+    out
+}
+
+#[test]
+fn inconsistent_relabel_is_a_typed_error_in_process_and_sharded() {
+    // A prep image whose relabeled CSR has one double-edge swap, with its
+    // dst and reverse-index sections rewritten and re-checksummed. Every
+    // load check passes (checksums are not authentication, and degrees are
+    // preserved), so only the remap can notice the lost edges.
+    let pg = PreparedGraph::from_csr(
+        Dataset::TwS.build(Scale::Tiny),
+        ReorderPolicy::DegreeDescending,
+    );
+    let prep = write_prep(&pg, "tampered-relabel");
+    let mut image = std::fs::read(&prep).unwrap();
+    let sections = payload_ranges(&image);
+    assert_eq!(sections.len(), 7, "original CSR, relabeled CSR, table");
+    let swapped = double_edge_swap(&pg.reordered().unwrap().graph);
+    let dst: Vec<u8> = swapped.dst().iter().flat_map(|x| x.to_le_bytes()).collect();
+    let rev: Vec<u8> = swapped
+        .reverse_index()
+        .unwrap()
+        .iter()
+        .flat_map(|&x| (x as u64).to_le_bytes())
+        .collect();
+    for (section, payload) in [(4, dst), (5, rev)] {
+        let range = sections[section].clone();
+        assert_eq!(range.len(), payload.len());
+        image[range.clone()].copy_from_slice(&payload);
+        let checksum_at = range.start - 64 + 8;
+        image[checksum_at..checksum_at + 8].copy_from_slice(&prep_checksum(&payload).to_le_bytes());
+    }
+    std::fs::write(&prep, &image).unwrap();
+    let loaded = prepare::map_prepared(&prep).expect("the image passes every load check");
+
+    let runner = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf());
+    match runner.try_run_prepared(&loaded).map(|_| ()) {
+        Err(PlanError::Remap(RemapError::MissingEdge { .. })) => {}
+        other => panic!("expected PlanError::Remap, got {other:?}"),
+    }
+    assert!(loaded.reordered().unwrap().edge_map().is_none());
+    match run_sharded(&loaded, &config(prep.clone(), 2, Algorithm::bmp_rf())).map(|_| ()) {
+        Err(ShardError::Remap(RemapError::MissingEdge { .. })) => {}
+        other => panic!("expected ShardError::Remap, got {other:?}"),
+    }
+    // A run that does not reorder never reads the relabel.
+    let unreordered = runner.reorder(false).try_run_prepared(&loaded).unwrap();
+    assert_eq!(
+        unreordered.into_counts(),
+        oracle(&pg, Algorithm::mps(), Some(false))
+    );
     let _ = std::fs::remove_file(&prep);
 }

@@ -82,7 +82,7 @@ fn streamed_preparation_counts_identically_everywhere() {
         for (pname, platform) in platforms(scale) {
             for algorithm in algorithms() {
                 let runner = Runner::new(platform.clone(), algorithm);
-                let got = runner.run_prepared(&mapped);
+                let got = runner.try_run_prepared(&mapped).unwrap();
                 assert_eq!(
                     got.counts(),
                     want,

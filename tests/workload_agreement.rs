@@ -81,7 +81,9 @@ fn triangle_workload_matches_oracle_and_cnc_view_on_every_analogue() {
         let g = d.build(Scale::Tiny);
         let want = naive_triangles(&g);
         // The per-edge CNC counts derive the same global total.
-        let cnc = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf()).run(&g);
+        let cnc = Runner::new(Platform::cpu_parallel(), Algorithm::bmp_rf())
+            .try_run(&g)
+            .unwrap();
         assert_eq!(cnc.view(&g).triangle_count(), want, "{}", d.name());
         for reorder in [false, true] {
             for algo in [Algorithm::MergeBaseline, Algorithm::bmp_rf()] {
@@ -89,7 +91,8 @@ fn triangle_workload_matches_oracle_and_cnc_view_on_every_analogue() {
                     let r = Runner::new(platform.clone(), algo)
                         .workload(WorkloadKind::Triangle)
                         .reorder(reorder)
-                        .run(&g);
+                        .try_run(&g)
+                        .unwrap();
                     assert_eq!(
                         r.output,
                         WorkloadOutput::Global(want),
@@ -121,7 +124,8 @@ fn kclique_workload_matches_oracle_on_every_analogue() {
                         let r = Runner::new(platform.clone(), algo)
                             .workload(WorkloadKind::KClique { k })
                             .reorder(reorder)
-                            .run(&g);
+                            .try_run(&g)
+                            .unwrap();
                         assert_eq!(
                             r.output,
                             want,
@@ -158,12 +162,12 @@ proptest! {
                 let t = Runner::new(platform.clone(), algo)
                     .workload(WorkloadKind::Triangle)
                     .reorder(reorder)
-                    .run(&g);
+                    .try_run(&g).unwrap();
                 prop_assert_eq!(&t.output, &WorkloadOutput::Global(tri));
                 let c = Runner::new(platform.clone(), algo)
                     .workload(WorkloadKind::KClique { k: 5 })
                     .reorder(reorder)
-                    .run(&g);
+                    .try_run(&g).unwrap();
                 let want = WorkloadOutput::CliqueCounts { k: 5, counts: cliques.clone() };
                 prop_assert_eq!(&c.output, &want);
             }
